@@ -408,15 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         "0 = one per usable CPU)",
     )
     p_plan.add_argument(
-        "--shm",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="with --execute: shared-memory graph plane for pooled "
-        "sweeps (default: auto — on whenever a process pool runs; "
-        "--no-shm ships graphs by value; outputs are byte-identical "
-        "either way)",
-    )
-    p_plan.add_argument(
         "--trace",
         metavar="PATH",
         help="with --execute: write the merged fleet Chrome trace "
@@ -1143,7 +1134,6 @@ def _execute_plan_cli(args: argparse.Namespace, plan, cache) -> int:
                     plan,
                     workers=args.workers,
                     cache=cache,
-                    shm=args.shm,
                     executor=executor,
                 )
             except CellFailedError as exc:

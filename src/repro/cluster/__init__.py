@@ -5,9 +5,9 @@ communication amortizes — applied to the harness itself.  A
 :class:`~repro.cluster.coordinator.Coordinator` leases a compiled
 plan's cells by content fingerprint to socket-connected workers
 (:mod:`repro.cluster.worker`, ``repro-pb worker``); cells sharing a
-graph are leased to the same worker (the pool's affinity lanes,
-cluster-sized) and each graph ships over the wire at most once per
-worker (:mod:`repro.cluster.shipping`).  Results travel through the
+graph are leased to the same worker (graph-affinity lanes sized to the
+fleet) and each graph ships over the wire at most once per worker
+(:mod:`repro.cluster.shipping`).  Results travel through the
 shared, atomically-written :class:`repro.harness.cache.
 MeasurementCache`; worker death or hang is recovered through
 heartbeat-expiring leases feeding the PR-4 retry/backoff machinery.

@@ -16,12 +16,11 @@ where the repo already has it:
 * checkpoint skip/record uses the same duck-typed recorder the local
   path uses, so resuming a half-distributed run locally (or vice
   versa) just works;
-* lease ordering is locality-aware through the same
+* lease ordering is locality-aware through
   :func:`~repro.parallel.scheduling.cell_affinity` /
-  :func:`~repro.parallel.scheduling.affinity_lanes` pair the pool's
-  lane queue uses: cells sharing a graph lease to the same worker, so
-  each graph ships once and stays resident (:mod:`repro.cluster.
-  shipping`).
+  :func:`~repro.parallel.scheduling.affinity_lanes`: cells sharing a
+  graph lease to the same worker, so each graph ships once and stays
+  resident (:mod:`repro.cluster.shipping`).
 
 The **data plane stays off the wire**: a worker writes its result into
 the shared :class:`repro.harness.cache.MeasurementCache` (atomic
@@ -231,11 +230,10 @@ class Coordinator:
                 len(self.cells),
             )
 
-        # Locality-aware lease ordering: the same affinity lanes the
-        # in-process pool uses, sized to the expected fleet.  A worker
-        # drains its own lane first and steals from the fullest other
-        # lane when dry, so co-located graphs stay co-located without
-        # ever idling a worker.
+        # Locality-aware lease ordering: affinity lanes sized to the
+        # expected fleet.  A worker drains its own lane first and steals
+        # from the fullest other lane when dry, so co-located graphs stay
+        # co-located without ever idling a worker.
         self._lanes: list[deque[_LeaseTask]] = [
             deque() for _ in range(self.expected_workers)
         ]

@@ -74,7 +74,10 @@ __all__ = [
 #: 1.3: cluster lifecycle events (:mod:`repro.cluster`) — worker
 #: join/loss and the lease lifecycle — plus the fleet ``cluster``
 #: section.
-EVENTS_SCHEMA_VERSION = "1.3"
+#: 2.0: removed the shm_* events, the fleet ``shm`` section and the
+#: per-worker ``resident_graphs`` counter with the shared-memory graph
+#: plane.
+EVENTS_SCHEMA_VERSION = "2.0"
 
 #: Every recognised event kind.
 EVENT_KINDS = (
@@ -89,10 +92,7 @@ EVENT_KINDS = (
     "worker_spawned",      # worker: a pool worker came up
     "worker_replaced",     # parent: a pool was restarted or replaced
     "resource_sample",     # worker: periodic RSS / CPU-time sample
-    "shm_published",       # parent: a graph entered the shared-memory plane
-    "shm_attached",        # worker: a graph was mapped zero-copy, first touch
-    "shm_evicted",         # parent: a segment was unlinked
-    "affinity_assigned",   # parent: cells grouped into worker lanes
+    "affinity_assigned",   # coordinator: cells grouped into worker lanes
     "serve_request",       # server: one PPR query accepted (hit or miss)
     "serve_batch",         # server: one coalesced batch solved (occupancy)
     "serve_cache_hit",     # server: a query answered from the result cache
@@ -429,10 +429,6 @@ class EventBus:
         spawned = 0
         replaced = 0
         seconds: list[float] = []
-        shm_published = 0
-        shm_published_bytes = 0.0
-        shm_attaches = 0
-        shm_evicted = 0
         workers_joined = 0
         workers_lost = 0
         leases_granted = 0
@@ -444,7 +440,7 @@ class EventBus:
             return per_worker.setdefault(
                 name,
                 {"cells": 0, "busy_seconds": 0.0, "peak_rss_bytes": 0.0,
-                 "cpu_seconds": 0.0, "resident_graphs": 0},
+                 "cpu_seconds": 0.0},
             )
 
         for event in events:
@@ -474,18 +470,6 @@ class EventBus:
                 spawned += 1
             elif event.kind == "worker_replaced":
                 replaced += 1
-            elif event.kind == "shm_published":
-                shm_published += 1
-                shm_published_bytes += float(event.payload.get("bytes", 0.0))
-            elif event.kind == "shm_attached":
-                shm_attaches += 1
-                record = worker_record(event.worker)
-                record["resident_graphs"] = max(
-                    record["resident_graphs"],
-                    int(event.payload.get("resident", record["resident_graphs"] + 1)),
-                )
-            elif event.kind == "shm_evicted":
-                shm_evicted += 1
             elif event.kind == "worker_joined":
                 workers_joined += 1
             elif event.kind == "worker_lost":
@@ -550,16 +534,6 @@ class EventBus:
                 "total": float(sum(seconds)),
                 "max": float(max(seconds, default=0.0)),
                 "mean": float(sum(seconds) / len(seconds)) if seconds else 0.0,
-            },
-            "shm": {
-                "published": shm_published,
-                "published_bytes": shm_published_bytes,
-                "attached": shm_attaches,
-                "evicted": shm_evicted,
-                "peak_resident_graphs": max(
-                    (int(w["resident_graphs"]) for w in per_worker.values()),
-                    default=0,
-                ),
             },
             "cluster": {
                 "workers_joined": workers_joined,

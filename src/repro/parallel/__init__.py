@@ -25,7 +25,6 @@ from repro.parallel.scheduling import (
     range_edge_counts,
     imbalance,
 )
-from repro.parallel.shm import GraphRef, GraphStore, resolve_graph
 from repro.parallel.model import (
     recommended_bin_width,
     thread_scaling,
@@ -64,9 +63,6 @@ __all__ = [
     "RetryPolicy",
     "SweepOptions",
     "SweepStats",
-    "GraphRef",
-    "GraphStore",
-    "resolve_graph",
     "affinity_lanes",
     "cell_affinity",
     "edge_balanced_ranges",

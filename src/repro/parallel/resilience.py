@@ -63,7 +63,6 @@ from repro.parallel.faults import (
     InjectedTimeout,
     is_corrupt,
 )
-from repro.parallel.scheduling import affinity_lanes, cell_affinity
 from repro.utils.fingerprint import cell_fingerprint
 
 __all__ = [
@@ -216,10 +215,6 @@ class SweepOptions:
     ``checkpoint_dir`` makes every sweep open (or resume) a per-label
     checkpoint file under that directory; ``stats`` accumulates across
     every sweep of a reproduce run so the final report shows one total.
-    ``shm`` controls the shared-memory graph plane in plan execution:
-    ``None`` (auto) enables it exactly when a process pool will run,
-    ``False`` forces graphs by value, ``True`` requests it explicitly
-    (still skipped on the serial path, which never touches shm).
     """
 
     workers: int | None = None
@@ -227,7 +222,6 @@ class SweepOptions:
     fault_plan: FaultPlan | None = None
     checkpoint_dir: str | None = None
     stats: SweepStats | None = None
-    shm: bool | None = None
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +364,7 @@ class _CellRun:
 
 
 class _FifoQueue:
-    """Plain FIFO ready queue — the engine's historical dispatch order."""
+    """Ready queue in submission order; a retried run rejoins at the back."""
 
     def __init__(self, runs: list[_CellRun]) -> None:
         self._queue: deque[_CellRun] = deque(runs)
@@ -378,7 +372,7 @@ class _FifoQueue:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def pop_eligible(self, now: float, in_flight=()) -> _CellRun | None:
+    def pop_eligible(self, now: float) -> _CellRun | None:
         """Next run whose backoff has expired, or ``None``."""
         for _ in range(len(self._queue)):
             run = self._queue.popleft()
@@ -405,76 +399,6 @@ class _FifoQueue:
         return runs
 
 
-class _LaneQueue:
-    """Graph-affinity ready queue: one FIFO lane per worker slot.
-
-    Submissions are throttled to one in-flight future per worker, so at
-    steady state the worker that just finished is the only idle one and
-    receives the next submission.  Serving lanes by ascending in-flight
-    count therefore pins each lane's cells to (approximately) one
-    worker — a graph is materialized on as few processes as possible —
-    without touching the pool's own scheduler.  Correctness never
-    depends on the pinning: results fold by submission index, and any
-    lane's cell can run anywhere (refs resolve in every worker).
-    """
-
-    def __init__(self, lanes: list[list[_CellRun]]) -> None:
-        self._lanes: list[deque[_CellRun]] = [deque(lane) for lane in lanes]
-        self._lane_of: dict[int, int] = {
-            id(run): index
-            for index, lane in enumerate(lanes)
-            for run in lane
-        }
-
-    def __len__(self) -> int:
-        return sum(len(lane) for lane in self._lanes)
-
-    def pop_eligible(self, now: float, in_flight=()) -> _CellRun | None:
-        """Next eligible run from the least-busy lane."""
-        counts = [0] * len(self._lanes)
-        for run in in_flight:
-            lane = self._lane_of.get(id(run))
-            if lane is not None:
-                counts[lane] += 1
-        order = sorted(range(len(self._lanes)), key=lambda i: (counts[i], i))
-        for index in order:
-            lane = self._lanes[index]
-            for _ in range(len(lane)):
-                run = lane.popleft()
-                if run.not_before <= now:
-                    return run
-                lane.append(run)
-        return None
-
-    def push(self, run: _CellRun) -> None:
-        self._lanes[self._lane_of.get(id(run), 0)].append(run)
-
-    def push_front(self, run: _CellRun) -> None:
-        self._lanes[self._lane_of.get(id(run), 0)].appendleft(run)
-
-    def backoff_times(self) -> list[float]:
-        return [
-            run.not_before
-            for lane in self._lanes
-            for run in lane
-            if run.not_before > 0.0
-        ]
-
-    def min_not_before(self) -> float:
-        return min(run.not_before for lane in self._lanes for run in lane)
-
-    def drain(self) -> list[_CellRun]:
-        # Back to submission order: the serial fallback must complete
-        # cells in the same order a never-pooled run would have.
-        runs = sorted(
-            (run for lane in self._lanes for run in lane),
-            key=lambda run: run.index,
-        )
-        for lane in self._lanes:
-            lane.clear()
-        return runs
-
-
 class _Engine:
     """One resilient sweep execution (single use)."""
 
@@ -489,11 +413,9 @@ class _Engine:
         checkpoint,
         stats: SweepStats | None,
         note: Callable[[str, float], None],
-        affinity: bool = False,
     ) -> None:
         self.cells = cells
         self.label = label
-        self.affinity = affinity
         self.plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self.policy = resolve_policy(policy, self.plan)
         self.checkpoint = checkpoint
@@ -630,31 +552,6 @@ class _Engine:
             )
         return ProcessPoolExecutor(max_workers=nworkers)
 
-    def _make_ready(self, runs: list[_CellRun], nworkers: int):
-        """The ready queue: affinity lanes when enabled, else plain FIFO."""
-        if self.affinity and nworkers > 1 and len(runs) > 1:
-            hints = cell_affinity([run.cell for run in runs])
-            lanes = affinity_lanes(hints, nworkers)
-            populated = sum(1 for lane in lanes if lane)
-            groups = len({key for key, _ in hints})
-            _events.emit(
-                "affinity_assigned",
-                cell=self.label,
-                cells=len(runs),
-                groups=groups,
-                lanes=populated,
-                workers=nworkers,
-            )
-            log.debug(
-                "%s: %d cells in %d affinity group(s) across %d lane(s)",
-                self.label,
-                len(runs),
-                groups,
-                populated,
-            )
-            return _LaneQueue([[runs[i] for i in lane] for lane in lanes])
-        return _FifoQueue(runs)
-
     def _run_pool(self, runs: list[_CellRun], nworkers: int) -> None:
         log.debug(
             "%s: %d cells across %d workers", self.label, len(runs), nworkers
@@ -662,7 +559,7 @@ class _Engine:
         bus = _events.current_bus()
         pool = self._new_pool(nworkers)
         restarts_left = self.policy.max_pool_restarts
-        ready = self._make_ready(runs, nworkers)
+        ready = _FifoQueue(runs)
         pending: dict[Future, tuple[_CellRun, float]] = {}
         try:
             while len(ready) or pending:
@@ -674,9 +571,8 @@ class _Engine:
                 # behind other cells.  Runs still inside their backoff window
                 # are held back until ``not_before`` passes.
                 now = monotonic()
-                in_flight = [run for run, _ in pending.values()]
                 while len(ready) and len(pending) < nworkers:
-                    run = ready.pop_eligible(now, in_flight)
+                    run = ready.pop_eligible(now)
                     if run is None:  # everything left is backing off
                         break
                     try:
@@ -697,7 +593,6 @@ class _Engine:
                     if self.policy.cell_timeout is not None:
                         run.deadline = started + self.policy.cell_timeout
                     pending[future] = (run, started)
-                    in_flight.append(run)
 
                 if not broken and not pending:
                     # Every remaining cell is backing off; sleep until the
@@ -874,19 +769,13 @@ def execute_cells(
     fault_plan: FaultPlan | None = None,
     checkpoint=None,
     stats: SweepStats | None = None,
-    affinity: bool = False,
 ) -> dict[Any, Any]:
     """Run sweep cells resiliently and return ``{cell.key: result}``.
 
     This is the engine behind :func:`repro.parallel.sweep.run_cells`;
     see that function for the caller-facing contract.  ``checkpoint`` is
     duck-typed (``has`` / ``result_for`` / ``record``) — in practice a
-    :class:`repro.harness.checkpoint.SweepCheckpoint`.  ``affinity``
-    groups cells by the graph they reference and dispatches each group
-    through a per-worker lane (:class:`_LaneQueue`), so a shared graph
-    is materialized on as few workers as possible; results are
-    unaffected either way (folded by submission index, never by
-    placement).
+    :class:`repro.harness.checkpoint.SweepCheckpoint`.
     """
     recorder = current_recorder()
     with span(f"sweep[{label}]") as sweep_span:
@@ -906,6 +795,5 @@ def execute_cells(
             checkpoint=checkpoint,
             stats=stats,
             note=note,
-            affinity=affinity,
         )
         return engine.run()

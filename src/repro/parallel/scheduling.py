@@ -11,14 +11,16 @@ Two schedulers mirror the paper's choices:
   modelled offline as greedy longest-processing-time assignment of
   per-range costs to threads (what a dynamic work queue converges to).
 
-The same blocking insight applies to the harness itself: sweep cells
-that share a graph should land on the same worker so the graph is
-materialized on as few processes as possible.  :func:`cell_affinity`
-extracts a ``(graph key, edge cost)`` hint per sweep cell and
+The same blocking insight applies to the worker fleet: sweep cells
+that share a graph should lease to the same worker so the graph crosses
+the wire as few times as possible.  :func:`cell_affinity` extracts a
+``(graph key, edge cost)`` hint per sweep cell and
 :func:`affinity_lanes` assigns whole affinity groups to worker lanes
 with the very same :func:`greedy_assign` balancer (cost = estimated
-edges × cells), which the resilient engine's lane queue turns into
-de-facto worker pinning (:mod:`repro.parallel.resilience`).
+edges × cells), which the cluster coordinator turns into lease order
+(:mod:`repro.cluster.coordinator`).  :func:`graph_key` is the one
+definition of "the same graph" that lease routing and graph shipping
+(:mod:`repro.cluster.shipping`) share.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Any, Hashable, Sequence
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.parallel.shm import GraphRef
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "range_edge_counts",
     "greedy_assign",
     "imbalance",
+    "graph_key",
     "cell_affinity",
     "affinity_lanes",
 ]
@@ -120,30 +122,33 @@ def imbalance(costs: np.ndarray, num_threads: int, *, dynamic: bool = True) -> f
 
 
 # ----------------------------------------------------------------------
-# sweep-cell graph affinity (the harness-side blocking schedule)
+# sweep-cell graph affinity (the fleet-side blocking schedule)
 # ----------------------------------------------------------------------
+def graph_key(graph: CSRGraph) -> Hashable:
+    """Affinity key of a graph argument: the parent-side object identity.
+
+    By identity, not content digest: hashing a multi-MB graph per cell
+    would cost more than the locality buys, and plan-compiled sweeps
+    pass the same object for equal content anyway.
+    """
+    return ("mem", id(graph))
+
+
 def _graph_hint(value: Any) -> tuple[Hashable, float] | None:
     """``(affinity key, edge cost)`` if ``value`` is a graph argument."""
-    if isinstance(value, GraphRef):
-        return ("shm", value.fingerprint), float(value.num_edges)
     if isinstance(value, CSRGraph):
-        # By identity, not content digest: hashing a multi-MB graph per
-        # cell would cost more than the locality buys, and plan-compiled
-        # sweeps pass the same object for equal content anyway.
-        return ("mem", id(value)), float(value.num_edges)
+        return graph_key(value), float(value.num_edges)
     return None
 
 
 def cell_affinity(cells: Sequence[Any]) -> list[tuple[Hashable, float]]:
     """Affinity hint ``(group key, cost)`` for every sweep cell.
 
-    Cells are grouped by the first graph argument they carry (a
-    :class:`~repro.parallel.shm.GraphRef` groups by content fingerprint,
-    a by-value :class:`CSRGraph` by object identity) with the graph's
-    edge count as the cost estimate.  A cell with no graph argument —
-    e.g. the scaling cells, which generate their own graph — forms a
-    singleton group of unit cost, so it still load-balances but never
-    constrains placement.
+    Cells are grouped by the first graph argument they carry
+    (:func:`graph_key`) with the graph's edge count as the cost
+    estimate.  A cell with no graph argument — e.g. the scaling cells,
+    which generate their own graph — forms a singleton group of unit
+    cost, so it still load-balances but never constrains placement.
     """
     hints: list[tuple[Hashable, float]] = []
     for index, cell in enumerate(cells):

@@ -76,7 +76,6 @@ def run_cells(
     fault_plan: FaultPlan | None = None,
     checkpoint=None,
     stats: SweepStats | None = None,
-    affinity: bool = False,
 ) -> dict[Any, Any]:
     """Run every cell and return ``{cell.key: result}``.
 
@@ -91,10 +90,7 @@ def run_cells(
     :class:`repro.harness.checkpoint.SweepCheckpoint` whose completed
     cells are skipped and into which new completions are appended;
     ``stats`` (a :class:`~repro.parallel.resilience.SweepStats`)
-    accumulates retry/resume counters for run reports; ``affinity``
-    dispatches cells sharing a graph argument through the same worker
-    lane so each graph is materialized on as few processes as possible
-    (placement only — results never depend on it).
+    accumulates retry/resume counters for run reports.
     """
     return execute_cells(
         cells,
@@ -104,5 +100,4 @@ def run_cells(
         fault_plan=fault_plan,
         checkpoint=checkpoint,
         stats=stats,
-        affinity=affinity,
     )

@@ -5,11 +5,11 @@ cache partition, checkpoint adapters, stats accounting, result fan-out —
 and delegates the actual running of the cache-miss cells to an
 :class:`Executor`.  Two implementations exist:
 
-* :class:`LocalExecutor` — the historical in-process path: an optional
-  shared-memory graph plane plus one resilient
+* :class:`LocalExecutor` — the historical in-process path: one resilient
   :func:`repro.parallel.sweep.run_cells` sweep (process pools, retries,
-  timeouts, checkpoint/resume, fault injection).  This is the default
-  and is bit-identical to the pre-protocol inline code: fingerprints,
+  timeouts, checkpoint/resume, fault injection), with every cell
+  carrying its graph by value.  This is the default and is
+  bit-identical to the pre-protocol inline code: fingerprints,
   checkpoints, caches, events, and artifacts are unchanged.
 * :class:`repro.cluster.DistributedExecutor` — a socket-based worker
   fleet (coordinator leases cells by fingerprint, workers write results
@@ -30,8 +30,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.obs.log import get_logger
-from repro.parallel.resilience import SweepStats, default_workers
+from repro.parallel.resilience import SweepStats
 from repro.parallel.sweep import SweepCell, run_cells
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "EXECUTORS",
     "make_executor",
 ]
-
-log = get_logger("plan.executors")
 
 
 @dataclass
@@ -71,7 +68,6 @@ class ExecutionRequest:
     fault_plan: Any = None
     checkpoint: Any = None
     stats: SweepStats | None = None
-    shm: bool | None = None
     cache: Any = None
     result_fingerprints: dict[str, str] = field(default_factory=dict)
 
@@ -92,71 +88,26 @@ class Executor(ABC):
         """
 
 
-def _pool_mode(workers: int | None, cells: int) -> bool:
-    """Whether this sweep will actually run on a process pool.
-
-    Mirrors the resilient engine's own resolution (``0`` = auto, ``None``
-    / ``1`` = serial, capped by the cell count) so the executor can
-    decide *before* dispatch whether the shared-memory graph plane will
-    pay for itself — the serial path must never touch shm.
-    """
-    resolved = default_workers() if workers == 0 else (workers or 1)
-    return min(resolved, cells) > 1
-
-
 class LocalExecutor(Executor):
     """The in-process pool path, extracted verbatim from ``execute_plan``.
 
-    In pool mode every distinct graph argument is published once into a
-    :class:`~repro.parallel.shm.GraphStore` and cells ship
-    :class:`~repro.parallel.shm.GraphRef` handles instead of pickled
-    arrays — cell fingerprints, checkpoints, caches, and results are
-    identical either way.  The cells then run through one
-    :func:`repro.parallel.sweep.run_cells` call, inheriting the whole
-    resilience stack.
+    The cells run through one :func:`repro.parallel.sweep.run_cells`
+    call, inheriting the whole resilience stack; pooled cells carry
+    their graphs by value through the pool's pickle pipe.
     """
 
     name = "local"
 
     def run(self, request: ExecutionRequest) -> dict[Any, Any]:
-        from repro.parallel.shm import GraphStore
-
-        sweep_cells = request.cells
-        label = request.label
-        store = None
-        if request.shm is not False and _pool_mode(
-            request.workers, len(sweep_cells)
-        ):
-            try:
-                store = GraphStore(label=label)
-            except Exception as exc:  # noqa: BLE001 — no shm on this platform
-                log.warning(
-                    "%s: shared-memory graph plane unavailable (%s); "
-                    "shipping graphs by value",
-                    label,
-                    exc,
-                )
-                store = None
-        if store is not None:
-            # Publish each distinct graph once; the sweep fingerprints
-            # are unchanged (a ref hashes as its graph), so checkpoint
-            # resume and fault plans line up with by-value runs.
-            sweep_cells = [store.publish_cell(cell) for cell in sweep_cells]
-
-        try:
-            return run_cells(
-                sweep_cells,
-                workers=request.workers,
-                label=label,
-                policy=request.policy,
-                fault_plan=request.fault_plan,
-                checkpoint=request.checkpoint,
-                stats=request.stats,
-                affinity=True,
-            )
-        finally:
-            if store is not None:
-                store.close()
+        return run_cells(
+            request.cells,
+            workers=request.workers,
+            label=request.label,
+            policy=request.policy,
+            fault_plan=request.fault_plan,
+            checkpoint=request.checkpoint,
+            stats=request.stats,
+        )
 
 
 def _make_distributed(**kwargs: Any) -> Executor:

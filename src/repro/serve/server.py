@@ -34,11 +34,6 @@ Guarantees:
   (:func:`repro.serve.updates.dirty_ancestors`); maintained global
   scores re-propagate only the update residual through
   :func:`repro.kernels.delta.delta_repropagate`.
-
-The server accepts the graph by value (:class:`~repro.graphs.csr.CSRGraph`)
-or by reference (:class:`repro.parallel.shm.GraphRef`), so a fleet of
-server processes can serve score state zero-copy from one published shm
-segment — the PR 8 data plane.
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ from repro.parallel.faults import (
     InjectedTimeout,
     is_corrupt,
 )
-from repro.parallel.shm import GraphRef, graph_fingerprint, resolve_graph
 from repro.serve.batching import BatchPolicy, BatchQueue
 from repro.serve.cache import ServeCache, canonical_seeds, serve_fingerprint
 from repro.serve.updates import EdgeUpdate, UpdateReport, apply_edge_updates, dirty_ancestors, update_residual
@@ -177,19 +171,15 @@ class PPRServer:
 
     def __init__(
         self,
-        graph: CSRGraph | GraphRef,
+        graph: CSRGraph,
         config: ServeConfig | None = None,
         *,
         cache: ServeCache | None = None,
     ) -> None:
-        self.graph = resolve_graph(graph)
+        self.graph = graph
         self.config = config or ServeConfig()
         self.cache = cache
-        self.graph_fp = (
-            graph.fingerprint
-            if isinstance(graph, GraphRef)
-            else graph_fingerprint(self.graph)
-        )
+        self.graph_fp = stable_digest(graph)
         self._queue = BatchQueue(self.config.policy)
         self._dispatcher: asyncio.Task | None = None
         self._maintenance = asyncio.Lock()
@@ -431,7 +421,7 @@ class PPRServer:
         async with self._maintenance:
             old_graph, old_fp = self.graph, self.graph_fp
             new_graph, report = apply_edge_updates(old_graph, updates)
-            new_fp = graph_fingerprint(new_graph)
+            new_fp = stable_digest(new_graph)
             carried = invalidated = 0
             if self.cache is not None and new_fp != old_fp:
                 if report.grew:

@@ -51,7 +51,8 @@ def _fingerprint_of(cell: SweepCell) -> str:
 # ----------------------------------------------------------------------
 # kill-and-resume round trip
 # ----------------------------------------------------------------------
-def test_kill_and_resume_round_trip(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kill_and_resume_round_trip(tmp_path, workers):
     cells = [SweepCell(key=i, fn=_square, args=(i,)) for i in range(8)]
     expected = {i: i * i for i in range(8)}
 
@@ -62,7 +63,7 @@ def test_kill_and_resume_round_trip(tmp_path):
     with pytest.raises(CellFailedError):
         run_cells(
             cells,
-            workers=1,
+            workers=workers,
             label="unit",
             fault_plan=plan,
             policy=RetryPolicy(max_retries=0),
@@ -76,7 +77,7 @@ def test_kill_and_resume_round_trip(tmp_path):
     second = open_checkpoint(str(tmp_path), "unit")
     assert len(second) == len(first)
     result = run_cells(
-        cells, workers=1, label="unit", checkpoint=second, stats=stats
+        cells, workers=workers, label="unit", checkpoint=second, stats=stats
     )
     assert result == expected
     assert stats.resumed == len(first)
@@ -85,7 +86,10 @@ def test_kill_and_resume_round_trip(tmp_path):
     # A third run resumes everything and computes nothing.
     stats = SweepStats()
     third = open_checkpoint(str(tmp_path), "unit")
-    assert run_cells(cells, workers=1, label="unit", checkpoint=third, stats=stats) == expected
+    assert (
+        run_cells(cells, workers=workers, label="unit", checkpoint=third, stats=stats)
+        == expected
+    )
     assert stats.resumed == 8 and stats.completed == 0
 
 

@@ -95,8 +95,9 @@ def test_collecting_scopes_and_restores_the_bus():
 # ----------------------------------------------------------------------
 def test_incompatible_schema_major_is_dropped_and_counted():
     bus = EventBus()
+    foreign_major = int(EVENTS_SCHEMA_VERSION.split(".", 1)[0]) + 1
     good = _message("cell_started", "pid100", 0, "a", "fp", 0, {})
-    bad = dict(good, v="2.0")
+    bad = dict(good, v=f"{foreign_major}.0")
     bus._ingest(good)
     bus._ingest(bad)
     bus._ingest(dict(good, v=""))

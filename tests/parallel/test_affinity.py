@@ -3,14 +3,12 @@
 The affinity layer (:func:`repro.parallel.scheduling.cell_affinity` +
 :func:`repro.parallel.scheduling.affinity_lanes`) must be a pure
 re-labelling of the sweep: every cell assigned exactly once, cells
-sharing a graph always on the same lane, lane loads within the greedy
-list-scheduling bound on *grouped* costs — and the resilient engine's
-lane dispatch must leave results bit-identical to the FIFO order.
+sharing a graph always on the same lane, and lane loads within the
+greedy list-scheduling bound on *grouped* costs.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,8 +16,7 @@ from hypothesis import strategies as st
 from repro.graphs.builder import build_csr
 from repro.graphs.generators import uniform_random_graph
 from repro.parallel.scheduling import affinity_lanes, cell_affinity
-from repro.parallel.shm import GraphStore, resolve_graph
-from repro.parallel.sweep import SweepCell, run_cells
+from repro.parallel.sweep import SweepCell
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +106,6 @@ def test_cell_affinity_groups_by_graph_identity_and_fingerprint():
     assert keys[0] != keys[2]
     assert all(cost == float(g1.num_edges) for _, cost in hints[:2])
 
-    with GraphStore() as store:
-        refs = [store.publish_cell(cell) for cell in cells]
-        ref_hints = cell_affinity(refs)
-    ref_keys = [key for key, _ in ref_hints]
-    assert ref_keys[0] == ref_keys[1] != ref_keys[2]
-    # shm refs group by content fingerprint, not object identity
-    assert ref_keys[0][0] == "shm"
-
 
 def test_cell_affinity_graphless_cells_are_singletons():
     cells = [
@@ -127,22 +116,3 @@ def test_cell_affinity_graphless_cells_are_singletons():
     assert len({key for key, _ in hints}) == len(cells)
     assert all(cost == 1.0 for _, cost in hints)
 
-
-# ----------------------------------------------------------------------
-# end to end: lane dispatch is invisible in the results
-# ----------------------------------------------------------------------
-def _degree_cell(graph, scale):
-    graph = resolve_graph(graph)
-    return float(np.sum(np.diff(graph.offsets))) * scale
-
-
-def test_run_cells_affinity_matches_serial_results():
-    graphs = [build_csr(uniform_random_graph(200, 4, seed=s)) for s in (1, 2, 3)]
-    cells = [
-        SweepCell(key=(s, scale), fn=_degree_cell, args=(graphs[s], scale))
-        for s in range(3)
-        for scale in (1.0, 2.0, 3.0)
-    ]
-    serial = run_cells(cells, workers=1)
-    pooled = run_cells(cells, workers=2, affinity=True)
-    assert pooled == serial

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import build_csr, uniform_random_graph
 from repro.kernels import pagerank_delta, personalized_pagerank, restart_teleport
-from repro.parallel.shm import graph_fingerprint
 from repro.serve import (
     BatchPolicy,
     EdgeUpdate,
@@ -30,6 +29,7 @@ from repro.serve import (
     update_residual,
 )
 from repro.kernels.delta import delta_repropagate
+from repro.utils.fingerprint import stable_digest
 
 N = 48  # small world: reachability frontiers stay non-trivial
 
@@ -59,7 +59,7 @@ def test_empty_update_batch_is_identity(seed, updates):
     graph, _ = apply_edge_updates(base_graph(seed), updates)
     again, report = apply_edge_updates(graph, [])
     assert report.added == report.removed == 0
-    assert graph_fingerprint(again) == graph_fingerprint(graph)
+    assert stable_digest(again) == stable_digest(graph)
 
 
 @given(
@@ -73,10 +73,10 @@ def test_add_then_remove_round_trips(seed, src, dst):
     added, report = apply_edge_updates(graph, [EdgeUpdate(src, dst)])
     removed, _ = apply_edge_updates(added, [EdgeUpdate(src, dst, remove=True)])
     if report.added:  # edge was genuinely new: removal restores the graph
-        assert graph_fingerprint(removed) == graph_fingerprint(graph)
+        assert stable_digest(removed) == stable_digest(graph)
     else:  # edge already existed: the add was a no-op
         assert report.noops == 1
-        assert graph_fingerprint(added) == graph_fingerprint(graph)
+        assert stable_digest(added) == stable_digest(graph)
 
 
 def test_updates_can_grow_the_vertex_range():
