@@ -10,7 +10,7 @@ same bench produce directly comparable documents.
 Shape of a bench document::
 
     {
-      "schema_version": "1.4",
+      "schema_version": "2.0",
       "kind": "bench",
       "bench": "fig4_speedup",
       "metrics": {"DPB/urand": 1.74, ...},   # flat name -> finite number

@@ -4,7 +4,7 @@ Three layers, separable for testing:
 
 * **loading** — :func:`load_bench_documents` scans a directory for
   ``BENCH_*.json`` documents, rejecting unknown schema *majors* (the
-  committed baselines span several minors of major 1; all load);
+  committed baselines carry the current major);
 * **comparison** — :func:`compare_documents` pairs baseline and current
   documents by bench name and checks every shared metric against its
   tolerance: gated metrics regress when ``|current - baseline|`` exceeds

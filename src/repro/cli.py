@@ -29,9 +29,10 @@ A thin front end over the library for the common workflows:
 * ``repro-pb loadgen --queries 200 --max-batch 16`` — replay a seeded
   query stream against the serve layer and report p50/p99 latency,
   throughput, and the warm-cache hit rate;
-* ``repro-pb reproduce --resume ckpt/`` — regenerate every table and
-  figure as one deduplicated plan with fault-tolerant, checkpointed,
-  cacheable sweeps (forwards to :mod:`repro.harness.reproduce`);
+* ``repro-pb reproduce --cache cache/`` — regenerate every table and
+  figure as one deduplicated plan with fault-tolerant, cacheable sweeps;
+  rerunning against the same cache resumes an interrupted run
+  (forwards to :mod:`repro.harness.reproduce`);
 * ``repro-pb worker --connect HOST:PORT`` — join a ``--distribute``
   run (``plan --execute`` or ``reproduce``) as a fleet worker: lease
   cells from the coordinator, write results into the shared
@@ -614,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     # forwarded parser defines its own -v/-q.
     p_reproduce = sub.add_parser(
         "reproduce",
-        help="regenerate every table and figure (supports --resume, "
+        help="regenerate every table and figure (supports --cache, "
         "--max-retries, --inject-faults; see --help)",
         add_help=False,
     )
@@ -1150,8 +1151,8 @@ def _execute_plan_cli(args: argparse.Namespace, plan, cache) -> int:
     bus.close()
     cells = fleet["cells"]
     print(
-        f"\nexecuted {cells['executed']}, cached {cells['cached']}, "
-        f"resumed {cells['resumed']} of {cells['total']} cell(s) "
+        f"\nexecuted {cells['executed']}, cached {cells['cached']} "
+        f"of {cells['total']} cell(s) "
         f"({cells['retries']} retried, {cells['faults']} fault(s)) "
         f"across {fleet['workers']['spawned']} worker(s)"
     )

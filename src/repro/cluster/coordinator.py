@@ -13,9 +13,9 @@ where the repo already has it:
   record_attempt_failure` — a lease that expires is charged exactly
   like a timed-out pool cell and re-queued through the same
   retry/backoff path;
-* checkpoint skip/record uses the same duck-typed recorder the local
-  path uses, so resuming a half-distributed run locally (or vice
-  versa) just works;
+* results land in the same content-addressed cache the local path
+  writes, so resuming a half-distributed run locally (or vice versa)
+  is just a rerun against that cache;
 * lease ordering is locality-aware through
   :func:`~repro.parallel.scheduling.cell_affinity` /
   :func:`~repro.parallel.scheduling.affinity_lanes`: cells sharing a
@@ -150,11 +150,11 @@ class Coordinator:
     shared :class:`~repro.harness.cache.MeasurementCache` both sides
     can reach (its ``directory`` is advertised to joining workers).
     ``result_fingerprints`` maps sweep fingerprints to the content
-    fingerprints workers write results under.  ``checkpoint`` is the
-    plan layer's duck-typed recorder; ``policy``/``fault_plan``/
-    ``stats`` behave exactly as in :func:`repro.parallel.sweep.
-    run_cells`.  ``expected_workers`` sizes the affinity lanes;
-    ``lease_seconds`` bounds how long a silent worker holds a cell.
+    fingerprints workers write results under.  ``policy``/
+    ``fault_plan``/``stats`` behave exactly as in
+    :func:`repro.parallel.sweep.run_cells`.  ``expected_workers`` sizes
+    the affinity lanes; ``lease_seconds`` bounds how long a silent
+    worker holds a cell.
     """
 
     def __init__(
@@ -166,7 +166,6 @@ class Coordinator:
         label: str = "plan",
         policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
-        checkpoint=None,
         stats: SweepStats | None = None,
         note: Callable[[str, float], None] | None = None,
         expected_workers: int = 1,
@@ -178,7 +177,6 @@ class Coordinator:
         self.label = label
         self.plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self.policy = resolve_policy(policy, self.plan)
-        self.checkpoint = checkpoint
         self.stats = stats if stats is not None else SweepStats()
         self.note = note if note is not None else (lambda name, seconds: None)
         self.expected_workers = max(1, expected_workers)
@@ -201,33 +199,10 @@ class Coordinator:
         runs: list[_LeaseTask] = []
         for index, cell in enumerate(cells):
             fingerprint = cell_fingerprint(cell.fn, cell.key, cell.args, cell.kwargs)
-            if self.checkpoint is not None and self.checkpoint.has(fingerprint):
-                record = self.checkpoint.result_for(fingerprint)
-                self.outcomes[index] = record.result
-                self.stats.resumed += 1
-                self.note(f"resumed[{cell.key}]", record.seconds)
-                resumed_payload: dict = {"seconds": record.seconds}
-                gail = _events.gail_payload(record.result)
-                if gail is not None:
-                    resumed_payload["gail"] = gail
-                _events.emit(
-                    "checkpoint_resumed",
-                    cell=cell.key,
-                    fingerprint=fingerprint,
-                    **resumed_payload,
-                )
-                continue
             runs.append(
                 _LeaseTask(
                     index, cell, fingerprint, self._fingerprints.get(fingerprint)
                 )
-            )
-        if self.stats.resumed:
-            log.info(
-                "%s: resumed %d of %d cells from checkpoint",
-                self.label,
-                self.stats.resumed,
-                len(self.cells),
             )
 
         # Locality-aware lease ordering: affinity lanes sized to the
@@ -618,10 +593,6 @@ class Coordinator:
             self.outcomes[task.index] = entry.result
             self.stats.completed += 1
             self.note(f"cell[{task.cell.key}]", seconds)
-            if self.checkpoint is not None:
-                self.checkpoint.record(
-                    task.fingerprint, task.cell.key, entry.result, seconds
-                )
             self._remaining -= 1
             if not self._remaining:
                 self._done.notify_all()

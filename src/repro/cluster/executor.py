@@ -112,7 +112,6 @@ class DistributedExecutor(Executor):
             label=request.label,
             policy=request.policy,
             fault_plan=request.fault_plan,
-            checkpoint=request.checkpoint,
             stats=stats,
             note=note,
             expected_workers=expected,
@@ -193,7 +192,6 @@ class DistributedExecutor(Executor):
                 "sweep_resilience",
                 {
                     "retries": float(stats.retries),
-                    "resumed": float(stats.resumed),
                     "completed": float(stats.completed),
                 },
             )
@@ -257,7 +255,7 @@ class DistributedExecutor(Executor):
             label=request.label,
             policy=request.policy,
             fault_plan=request.fault_plan,
-            checkpoint=request.checkpoint,
+            record=request.record,
             stats=stats,
         )
         coordinator.absorb(outcomes)

@@ -1,13 +1,14 @@
 """Content-addressed on-disk cache of completed measurement cells.
 
-Where a sweep checkpoint (:mod:`repro.harness.checkpoint`) makes *one
-run's* progress durable, the :class:`MeasurementCache` makes *results*
-durable across runs and commands: every completed plan cell is stored
-under its content fingerprint (:meth:`repro.plan.spec.Cell.fingerprint`
-— function + arguments, graph arrays included), so any later
-``reproduce``/bench/figure invocation that requests the same work — in
-any artifact combination, any worker count — warm-starts from disk and
-executes nothing.
+The :class:`MeasurementCache` is the only durable record of completed
+work: every completed plan cell is stored under its content fingerprint
+(:meth:`repro.plan.spec.Cell.fingerprint` — function + arguments, graph
+arrays included), so any later ``reproduce``/bench/figure invocation
+that requests the same work — in any artifact combination, any worker
+count — warm-starts from disk and executes nothing.  The same property
+makes an interrupted run resumable: entries are written as cells
+finish, so rerunning the command against the same ``--cache DIR``
+executes only the cells that had not completed.
 
 Layout: one JSON file per entry at
 ``<dir>/objects/<fp[:2]>/<fp>.json``::
@@ -16,20 +17,21 @@ Layout: one JSON file per entry at
      "fingerprint": <hex>, "seconds": <float>,
      "encoding": "json" | "pickle", "result": ...}
 
-Result encoding is shared with checkpoints (JSON when a round trip is
-provably exact, base64 pickle otherwise).  Writes are atomic (temp file
-+ ``os.replace``) so a crash can never leave a half-written entry.
-Reads are corruption-tolerant with the same policy as checkpoints: a
-corrupt, truncated, mismatched-fingerprint, or wrong-major-version entry
-is logged and treated as a miss — the cell recomputes and the entry is
-overwritten.  Caching is content-addressed but code identity is by name
-only (the :mod:`repro.utils.fingerprint` tradeoff), so after editing a
-cell function's *body* delete the cache directory rather than trusting
-stale entries.
+Results are stored as JSON when a round trip is provably exact and as
+base64 pickle otherwise.  Writes are atomic (temp file + ``os.replace``)
+so a crash can never leave a half-written entry; they are not fsynced,
+so the guarantee covers a process crash, not a power loss.  Reads are
+corruption-tolerant: a corrupt, truncated, mismatched-fingerprint, or
+wrong-major-version entry is logged and treated as a miss — the cell
+recomputes and the entry is overwritten.  Caching is content-addressed
+but code identity is by name only (the :mod:`repro.utils.fingerprint`
+tradeoff), so after editing a cell function's *body* delete the cache
+directory rather than trusting stale entries.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import pickle
@@ -37,16 +39,40 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any
 
-from repro.harness.checkpoint import _decode_result, _encode_result
 from repro.obs.log import get_logger
 
 __all__ = ["CACHE_SCHEMA_VERSION", "CacheEntry", "MeasurementCache"]
 
-#: Version of the per-entry JSON schema; same policy as checkpoints
+#: Version of the per-entry JSON schema; same policy as run reports
 #: (major bump on incompatible change, minor on additive).
 CACHE_SCHEMA_VERSION = "1.0"
 
 log = get_logger("harness.cache")
+
+
+def _encode_result(result: Any) -> tuple[str, Any]:
+    """Pick the encoding that round-trips ``result`` exactly.
+
+    JSON when an encode/decode cycle provably returns an equal value
+    (covers the plain-dict figure cells); pickle+base64 otherwise
+    (measurement objects, tuples, numpy scalars).
+    """
+    try:
+        decoded = json.loads(json.dumps(result))
+        if decoded == result and type(decoded) is type(result):
+            return "json", result
+    except (TypeError, ValueError):
+        pass
+    payload = base64.b64encode(pickle.dumps(result, protocol=4)).decode("ascii")
+    return "pickle", payload
+
+
+def _decode_result(encoding: str, payload: Any) -> Any:
+    if encoding == "json":
+        return payload
+    if encoding == "pickle":
+        return pickle.loads(base64.b64decode(payload))
+    raise ValueError(f"unknown cache result encoding {encoding!r}")
 
 
 @dataclass(frozen=True)

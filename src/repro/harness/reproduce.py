@@ -19,11 +19,10 @@ Options::
     --only fig3 table2  regenerate a subset
     --quick             alias for --scale 0.25 with coarser sweeps
     --cache DIR         content-addressed measurement cache: completed
-                        cells are stored by fingerprint and any later run
-                        (any artifact subset) reuses them
-    --resume DIR        checkpoint completed sweep cells in DIR and skip
-                        any already recorded there (safe to re-run after
-                        a crash; outputs are byte-identical either way)
+                        cells are stored by fingerprint as they finish
+                        and any later run (any artifact subset) reuses
+                        them, so rerunning after a crash resumes where
+                        it stopped; outputs are byte-identical either way
     --max-retries N     retry failed sweep cells N times (default 2)
     --cell-timeout S    per-cell wall-clock deadline, pool mode only
     --inject-faults P   deterministic fault plan (test hook), e.g.
@@ -48,7 +47,7 @@ Options::
 Artifact ids: table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 fig10 fig11.  A run interrupted by a crash or a permanently failing cell
 exits nonzero naming the cell; rerunning the same command with the same
-``--resume`` directory picks up where it stopped.
+``--cache`` directory picks up where it stopped.
 """
 
 from __future__ import annotations
@@ -158,17 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="content-addressed measurement cache: store every completed "
-        "cell under its fingerprint in DIR and reuse matching cells from "
-        "any previous run (a fully warm run executes zero cells; outputs "
-        "are byte-identical either way)",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="checkpoint completed sweep cells in DIR and skip cells "
-        "already recorded there (rerun after a crash to pick up where "
-        "it stopped; outputs are byte-identical to an uninterrupted run)",
+        "cell under its fingerprint in DIR as it finishes and reuse "
+        "matching cells from any previous run, so a rerun after a crash "
+        "picks up where it stopped (a fully warm run executes zero cells; "
+        "outputs are byte-identical either way)",
     )
     parser.add_argument(
         "--max-retries",
@@ -321,12 +313,10 @@ def _sweep_options(args: argparse.Namespace) -> SweepOptions:
         FaultPlan.from_string(args.inject_faults) if args.inject_faults else None
     )
     return SweepOptions(
-        workers=args.workers,
         policy=RetryPolicy(
             max_retries=args.max_retries, cell_timeout=args.cell_timeout
         ),
         fault_plan=fault_plan,
-        checkpoint_dir=args.resume,
         stats=SweepStats(),
     )
 
@@ -357,7 +347,6 @@ def _write_run_report(
                 "artifacts": sorted(wanted),
                 "workers": args.workers,
                 "cache": args.cache,
-                "resume": args.resume,
                 "max_retries": args.max_retries,
                 "cell_timeout": args.cell_timeout,
                 "fault_plan": args.inject_faults,
@@ -404,15 +393,15 @@ def main(argv: list[str] | None = None) -> int:
             except CellFailedError as exc:
                 failure = exc
                 log.error("%s", exc)
-                if args.resume:
+                if args.cache:
                     log.error(
-                        "completed cells are checkpointed under %s; rerun the "
+                        "completed cells are cached under %s; rerun the "
                         "same command to resume",
-                        args.resume,
+                        args.cache,
                     )
                 else:
                     log.error(
-                        "rerun with --resume DIR to make progress durable "
+                        "rerun with --cache DIR to make progress durable "
                         "across failures"
                     )
     # The engine drained the worker queue before returning; this final

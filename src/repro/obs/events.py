@@ -13,8 +13,8 @@ schema-versioned structured event stream:
   ``multiprocessing`` manager queue installed by the pool initializer;
 * the **parent** emits the events only it can know about
   (``cell_retried`` / ``cell_timeout`` / ``cell_faulted`` /
-  ``cache_hit`` / ``checkpoint_resumed`` / ``worker_replaced`` /
-  ``plan_started``) directly into the same stream;
+  ``cache_hit`` / ``worker_replaced`` / ``plan_started``) directly
+  into the same stream;
 * an :class:`EventBus` collects both sides, assigns a global arrival
   order, estimates per-worker clock offsets, notifies subscribers (the
   live progress renderer), merges worker-side span trees into a
@@ -77,7 +77,10 @@ __all__ = [
 #: 2.0: removed the shm_* events, the fleet ``shm`` section and the
 #: per-worker ``resident_graphs`` counter with the shared-memory graph
 #: plane.
-EVENTS_SCHEMA_VERSION = "2.0"
+#: 3.0: removed the ``checkpoint_resumed`` event and the fleet
+#: ``cells.resumed`` counter with sweep checkpoints (an interrupted run
+#: resumes through the measurement cache, as ``cache_hit`` events).
+EVENTS_SCHEMA_VERSION = "3.0"
 
 #: Every recognised event kind.
 EVENT_KINDS = (
@@ -88,7 +91,6 @@ EVENT_KINDS = (
     "cell_timeout",        # parent: an attempt overran its deadline
     "cell_faulted",        # parent: an attempt failed (crash/corrupt)
     "cache_hit",           # parent: a cell was satisfied from the cache
-    "checkpoint_resumed",  # parent: a cell was replayed from checkpoint
     "worker_spawned",      # worker: a pool worker came up
     "worker_replaced",     # parent: a pool was restarted or replaced
     "resource_sample",     # worker: periodic RSS / CPU-time sample
@@ -411,14 +413,13 @@ class EventBus:
 
         Terminal cell accounting dedups by fingerprint so a late
         ``cell_finished`` from a timed-out-then-retried cell cannot
-        double count: ``executed + cached + resumed`` equals the number
-        of distinct cells that reached a terminal success state.
+        double count: ``executed + cached`` equals the number of
+        distinct cells that reached a terminal success state.
         """
         events = self.events()
         by_kind: dict[str, int] = {}
         executed: set[str] = set()
         cached: set[str] = set()
-        resumed: set[str] = set()
         failed: set[str] = set()
         retries = 0
         faults = 0
@@ -454,8 +455,6 @@ class EventBus:
                 seconds.append(float(event.payload.get("seconds", 0.0)))
             elif event.kind == "cache_hit":
                 cached.add(key)
-            elif event.kind == "checkpoint_resumed":
-                resumed.add(key)
             elif event.kind == "cell_retried":
                 retries += 1
             elif event.kind in ("cell_faulted", "cell_timeout"):
@@ -482,7 +481,7 @@ class EventBus:
                 leases_expired += 1
             elif event.kind == "lease_completed":
                 leases_completed += 1
-            if event.kind in ("cell_finished", "cache_hit", "checkpoint_resumed"):
+            if event.kind in ("cell_finished", "cache_hit"):
                 decomposition = event.payload.get("gail")
                 if decomposition and event.cell:
                     gail[event.cell] = {
@@ -502,8 +501,8 @@ class EventBus:
                     )
         # A cell that failed some attempts but eventually succeeded (or
         # was re-run after a pool replacement) is not a failed cell.
-        failed -= executed | cached | resumed
-        total = len(executed) + len(cached) + len(resumed)
+        failed -= executed | cached
+        total = len(executed) + len(cached)
         return {
             "schema_version": EVENTS_SCHEMA_VERSION,
             "workers": {
@@ -518,7 +517,6 @@ class EventBus:
                 "total": total,
                 "executed": len(executed),
                 "cached": len(cached),
-                "resumed": len(resumed),
                 "failed": len(failed),
                 "retries": retries,
                 "faults": faults,

@@ -38,7 +38,6 @@ _MILESTONES = frozenset(
         "plan_started",
         "cell_finished",
         "cache_hit",
-        "checkpoint_resumed",
         "cell_retried",
         "cell_timeout",
         "cell_faulted",
@@ -93,7 +92,6 @@ class ProgressRenderer:
         # state
         self.executed = 0
         self.cached = 0
-        self.resumed = 0
         self.retries = 0
         self.faults = 0
         self.failed = 0
@@ -104,7 +102,7 @@ class ProgressRenderer:
     # ------------------------------------------------------------------
     @property
     def done(self) -> int:
-        return self.executed + self.cached + self.resumed
+        return self.executed + self.cached
 
     def eta_seconds(self) -> float | None:
         """Remaining-time estimate from the observed completion rate."""
@@ -134,10 +132,6 @@ class ProgressRenderer:
             if key not in self._terminal:
                 self._terminal.add(key)
                 self.cached += 1
-        elif event.kind == "checkpoint_resumed":
-            if key not in self._terminal:
-                self._terminal.add(key)
-                self.resumed += 1
         elif event.kind == "cell_retried":
             self.retries += 1
         elif event.kind in ("cell_faulted", "cell_timeout"):
@@ -161,8 +155,6 @@ class ProgressRenderer:
             parts.append(f"{len(self.running)} running")
         if self.cached:
             parts.append(f"{self.cached} cached")
-        if self.resumed:
-            parts.append(f"{self.resumed} resumed")
         if self.retries:
             parts.append(f"{self.retries} retried")
         if self.failed:

@@ -63,7 +63,13 @@ __all__ = [
 #: requests, batches, coalescing and occupancy, cache hit rate, injected
 #: faults/retries, and update/invalidation accounting) and the
 #: ``"serve"`` report kind.
-SCHEMA_VERSION = "1.5"
+#:
+#: 2.0 removed ``resilience.resumed``, the reproduce report's
+#: ``config.options.resume`` and the fleet section's ``cells.resumed``
+#: with sweep checkpoints: an interrupted run resumes through the
+#: measurement cache, so resumed cells count as cache hits.  The plan
+#: section keeps ``resumed``, always 0.
+SCHEMA_VERSION = "2.0"
 
 
 @dataclass(frozen=True)
@@ -259,12 +265,12 @@ class RunReport:
     reproduction run rather than one measurement) and ``resilience``
     optionally holds the sweep executor's fault-tolerance counters
     (:meth:`repro.parallel.resilience.SweepStats.as_dict`: completed /
-    resumed / retried cells, injected faults, pool restarts, failures).
+    retried cells, injected faults, pool restarts, failures).
 
     Since schema 1.3, ``plan`` optionally holds the cell-DAG counters of
     the run's compiled experiment plan
     (:meth:`repro.plan.compiler.PlanStats.as_dict`: cells requested /
-    unique / cache hits / resumed / executed and the dedup ratio).
+    unique / cache hits / executed and the dedup ratio).
 
     Since schema 1.4, ``fleet`` optionally holds the cross-process event
     collector's summary

@@ -17,10 +17,10 @@ forfeited the whole run.  The engine here executes sweep cells with:
 * **graceful pool degradation** — a ``BrokenProcessPool`` (worker died)
   restarts the pool up to ``max_pool_restarts`` times, then falls back
   to in-process serial execution for the remaining cells;
-* **checkpoint skip/record** — cells whose fingerprint is already in a
-  :class:`repro.harness.checkpoint.SweepCheckpoint` are skipped and
-  their stored results returned; completed cells are appended as they
-  finish, so an interrupted run resumes where it stopped;
+* **result recording** — an optional ``record(fingerprint, result,
+  seconds)`` callback sees every completed cell as it finishes (the
+  plan layer writes it into the measurement cache, so an interrupted
+  run resumes by being rerun against the same cache);
 * **deterministic fault injection** — an explicit
   :class:`~repro.parallel.faults.FaultPlan` (or one from the
   ``REPRO_FAULT_PLAN`` environment variable) wraps every attempt, which
@@ -28,17 +28,16 @@ forfeited the whole run.  The engine here executes sweep cells with:
 * **failure attribution** — a cell that exhausts its retries raises
   :class:`CellFailedError` naming the cell key and chaining the original
   exception (with the worker traceback), *after* every other cell has
-  been given the chance to finish (and be checkpointed).  No hung pools,
+  been given the chance to finish (and be recorded).  No hung pools,
   no anonymous tracebacks.
 
 Results are bit-identical to a fault-free serial run whenever retries
 recover, because cells are deterministic functions of their arguments
 and the engine folds results by submission order, never completion
-order.  Retry/resume activity is observable: spans
-(``sweep[label]/retry[key]``, ``sweep[label]/resumed[key]``), trace
-counter samples (``sweep_resilience``), and a :class:`SweepStats`
-summary that lands in the ``resilience`` section of run reports
-(schema 1.2).
+order.  Retry activity is observable: spans
+(``sweep[label]/retry[key]``), trace counter samples
+(``sweep_resilience``), and a :class:`SweepStats` summary that lands in
+the ``resilience`` section of run reports.
 """
 
 from __future__ import annotations
@@ -180,12 +179,11 @@ class SweepStats:
     """Counters describing one (or several accumulated) resilient sweeps.
 
     ``as_dict()`` is the ``resilience`` section of a run report
-    (``docs/metrics_schema.md``, schema 1.2).
+    (``docs/metrics_schema.md``).
     """
 
     cells: int = 0
     completed: int = 0
-    resumed: int = 0
     retries: int = 0
     injected_faults: int = 0
     timeouts: int = 0
@@ -197,7 +195,6 @@ class SweepStats:
         return {
             "cells": self.cells,
             "completed": self.completed,
-            "resumed": self.resumed,
             "retries": self.retries,
             "injected_faults": self.injected_faults,
             "timeouts": self.timeouts,
@@ -211,16 +208,12 @@ class SweepStats:
 class SweepOptions:
     """Bundle of resilience settings threaded through the figure sweeps.
 
-    ``workers=None`` defers to each call site's own ``workers`` argument;
-    ``checkpoint_dir`` makes every sweep open (or resume) a per-label
-    checkpoint file under that directory; ``stats`` accumulates across
-    every sweep of a reproduce run so the final report shows one total.
+    ``stats`` accumulates across every sweep of a reproduce run so the
+    final report shows one total.
     """
 
-    workers: int | None = None
     policy: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
-    checkpoint_dir: str | None = None
     stats: SweepStats | None = None
 
 
@@ -410,7 +403,7 @@ class _Engine:
         label: str,
         policy: RetryPolicy | None,
         fault_plan: FaultPlan | None,
-        checkpoint,
+        record: Callable[[str, Any, float], None] | None,
         stats: SweepStats | None,
         note: Callable[[str, float], None],
     ) -> None:
@@ -418,7 +411,7 @@ class _Engine:
         self.label = label
         self.plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
         self.policy = resolve_policy(policy, self.plan)
-        self.checkpoint = checkpoint
+        self.record = record
         self.stats = stats if stats is not None else SweepStats()
         self.note = note
         if workers == 0:
@@ -430,35 +423,12 @@ class _Engine:
     # ------------------------------------------------------------------
     def run(self) -> dict[Any, Any]:
         self.stats.cells += len(self.cells)
-        runs: list[_CellRun] = []
-        for index, cell in enumerate(self.cells):
-            fingerprint = cell_fingerprint(
-                cell.fn, cell.key, cell.args, cell.kwargs
+        runs = [
+            _CellRun(
+                index, cell, cell_fingerprint(cell.fn, cell.key, cell.args, cell.kwargs)
             )
-            if self.checkpoint is not None and self.checkpoint.has(fingerprint):
-                record = self.checkpoint.result_for(fingerprint)
-                self.outcomes[index] = record.result
-                self.stats.resumed += 1
-                self.note(f"resumed[{cell.key}]", record.seconds)
-                resumed_payload: dict = {"seconds": record.seconds}
-                gail = _events.gail_payload(record.result)
-                if gail is not None:
-                    resumed_payload["gail"] = gail
-                _events.emit(
-                    "checkpoint_resumed",
-                    cell=cell.key,
-                    fingerprint=fingerprint,
-                    **resumed_payload,
-                )
-                continue
-            runs.append(_CellRun(index, cell, fingerprint))
-        if self.stats.resumed:
-            log.info(
-                "%s: resumed %d of %d cells from checkpoint",
-                self.label,
-                self.stats.resumed,
-                len(self.cells),
-            )
+            for index, cell in enumerate(self.cells)
+        ]
 
         nworkers = min(self.workers, len(runs)) if runs else 1
         if nworkers <= 1:
@@ -477,7 +447,6 @@ class _Engine:
             "sweep_resilience",
             {
                 "retries": float(self.stats.retries),
-                "resumed": float(self.stats.resumed),
                 "completed": float(self.stats.completed),
             },
         )
@@ -502,8 +471,8 @@ class _Engine:
         self.outcomes[run.index] = result
         self.stats.completed += 1
         self.note(f"cell[{run.cell.key}]", seconds)
-        if self.checkpoint is not None:
-            self.checkpoint.record(run.fingerprint, run.cell.key, result, seconds)
+        if self.record is not None:
+            self.record(run.fingerprint, result, seconds)
 
     def _record_failure(self, run: _CellRun, exc: BaseException, elapsed: float) -> bool:
         """Count one failed attempt; return True if the cell will retry."""
@@ -767,15 +736,13 @@ def execute_cells(
     label: str = "sweep",
     policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    checkpoint=None,
+    record: Callable[[str, Any, float], None] | None = None,
     stats: SweepStats | None = None,
 ) -> dict[Any, Any]:
     """Run sweep cells resiliently and return ``{cell.key: result}``.
 
     This is the engine behind :func:`repro.parallel.sweep.run_cells`;
-    see that function for the caller-facing contract.  ``checkpoint`` is
-    duck-typed (``has`` / ``result_for`` / ``record``) — in practice a
-    :class:`repro.harness.checkpoint.SweepCheckpoint`.
+    see that function for the caller-facing contract.
     """
     recorder = current_recorder()
     with span(f"sweep[{label}]") as sweep_span:
@@ -792,7 +759,7 @@ def execute_cells(
             label=label,
             policy=policy,
             fault_plan=fault_plan,
-            checkpoint=checkpoint,
+            record=record,
             stats=stats,
             note=note,
         )

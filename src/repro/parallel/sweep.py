@@ -19,10 +19,10 @@ reports.
 
 Execution is fault tolerant (see :mod:`repro.parallel.resilience`): a
 failing cell is retried under the :class:`~repro.parallel.resilience.
-RetryPolicy`, results can be checkpointed and resumed through a
-:class:`repro.harness.checkpoint.SweepCheckpoint`, worker-pool death
-degrades to in-process serial execution, and deterministic faults can be
-injected for testing (``REPRO_FAULT_PLAN`` or an explicit
+RetryPolicy`, each completed result can be handed to a ``record``
+callback as it finishes, worker-pool death degrades to in-process
+serial execution, and deterministic faults can be injected for testing
+(``REPRO_FAULT_PLAN`` or an explicit
 :class:`~repro.parallel.faults.FaultPlan`).  A cell that exhausts its
 retries raises :class:`~repro.parallel.resilience.CellFailedError`
 naming the cell and chaining the original (worker) traceback — after
@@ -74,7 +74,7 @@ def run_cells(
     label: str = "sweep",
     policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    checkpoint=None,
+    record: Callable[[str, Any, float], None] | None = None,
     stats: SweepStats | None = None,
 ) -> dict[Any, Any]:
     """Run every cell and return ``{cell.key: result}``.
@@ -86,11 +86,11 @@ def run_cells(
     of their arguments — and identical with or without recovered faults.
 
     ``policy`` defaults to no retries (or to a plan-covering policy when
-    a fault plan is active); ``checkpoint`` is an opened
-    :class:`repro.harness.checkpoint.SweepCheckpoint` whose completed
-    cells are skipped and into which new completions are appended;
-    ``stats`` (a :class:`~repro.parallel.resilience.SweepStats`)
-    accumulates retry/resume counters for run reports.
+    a fault plan is active); ``record(fingerprint, result, seconds)`` is
+    called once per completed cell, in the parent, as it finishes (the
+    fingerprint is :func:`repro.utils.fingerprint.cell_fingerprint` of
+    the cell); ``stats`` (a :class:`~repro.parallel.resilience.
+    SweepStats`) accumulates retry counters for run reports.
     """
     return execute_cells(
         cells,
@@ -98,6 +98,6 @@ def run_cells(
         label=label,
         policy=policy,
         fault_plan=fault_plan,
-        checkpoint=checkpoint,
+        record=record,
         stats=stats,
     )

@@ -18,7 +18,7 @@ that sharing structural instead of ad hoc:
   (each unique cell appears once, with every requester recorded);
 * :func:`~repro.plan.executor.execute_plan` — runs the compiled plan
   through the fault-tolerant sweep stack
-  (:func:`repro.parallel.sweep.run_cells`: retries, checkpoints,
+  (:func:`repro.parallel.sweep.run_cells`: retries, timeouts,
   process pools) exactly once per unique cell, warm-starting from an
   optional content-addressed result cache
   (:class:`repro.harness.cache.MeasurementCache`), and fans results

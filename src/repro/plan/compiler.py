@@ -24,15 +24,13 @@ class PlanStats:
     """Counters describing one compiled (and possibly executed) plan.
 
     ``as_dict()`` is the ``plan`` section of a run report
-    (``docs/metrics_schema.md``, schema 1.3).  ``cache_hits`` /
-    ``resumed`` / ``executed`` stay zero until
-    :func:`repro.plan.executor.execute_plan` fills them in.
+    (``docs/metrics_schema.md``).  ``cache_hits`` / ``executed`` stay
+    zero until :func:`repro.plan.executor.execute_plan` fills them in.
     """
 
     cells_requested: int = 0
     cells_unique: int = 0
     cache_hits: int = 0
-    resumed: int = 0
     executed: int = 0
 
     @property
@@ -47,7 +45,9 @@ class PlanStats:
             "cells_requested": self.cells_requested,
             "cells_unique": self.cells_unique,
             "cache_hits": self.cache_hits,
-            "resumed": self.resumed,
+            # Always 0: resumed cells are cache hits.  Kept only because
+            # the e2e benchmark sums executed + cache_hits + resumed.
+            "resumed": 0,
             "executed": self.executed,
             "dedup_ratio": self.dedup_ratio,
         }
@@ -62,7 +62,7 @@ class CompiledPlan:
     each spec name to its ``{local_key: fingerprint}`` resolution table;
     ``labels`` gives every unique cell a readable ``"spec:local_key"``
     name taken from its *first* requester (used as the sweep key, so
-    span paths and checkpoint records stay human-readable).
+    span paths and events stay human-readable).
     """
 
     specs: tuple[ExperimentSpec, ...]

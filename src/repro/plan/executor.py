@@ -12,15 +12,15 @@ figure, table, bench, and ``reproduce`` run now performs measurement:
    :class:`~repro.plan.executors.Executor` (default
    :class:`~repro.plan.executors.LocalExecutor`: a single
    :func:`repro.parallel.sweep.run_cells` sweep inheriting the whole
-   PR-3/PR-4 stack — process pools, retry with backoff, per-cell
-   timeouts, checkpoint/resume, fault injection; alternatively
+   resilience stack — process pools, retry with backoff, per-cell
+   timeouts, fault injection; alternatively
    :class:`repro.cluster.DistributedExecutor`, which leases the same
    cells to a socket-connected worker fleet).  Each unique cell
    executes exactly once per plan, keyed by its readable
    first-requester label.
-3. **cache write-back** — completed (and checkpoint-resumed) cells are
-   written into the cache as they finish, so even an interrupted run
-   warms future ones.
+3. **cache write-back** — completed cells are written into the cache
+   as they finish, so an interrupted run resumes by being rerun
+   against the same cache: step 1 skips everything it finished.
 4. **fan-out** — :meth:`PlanResults.artifact` resolves any spec's local
    keys against the shared result pool and calls its ``build``.
 
@@ -70,40 +70,6 @@ class PlanResults:
         return self.plan.spec(name).build(self.values_for(name))
 
 
-class _CacheRecorder:
-    """Checkpoint adapter that also write-backs results into the cache.
-
-    The resilient engine talks to one duck-typed checkpoint
-    (``has``/``result_for``/``record``) keyed by *sweep* fingerprints
-    (function + key + args).  This adapter forwards those calls to the
-    real checkpoint (when ``--resume`` is active) and mirrors every
-    completed or resumed result into the content-addressed cache under
-    the cell's *plan* fingerprint (function + args, no key).
-    """
-
-    def __init__(self, checkpoint, cache, plan_fp_for: dict[str, str]) -> None:
-        self._checkpoint = checkpoint
-        self._cache = cache
-        self._plan_fp_for = plan_fp_for  # sweep fingerprint -> plan fingerprint
-
-    def has(self, fingerprint: str) -> bool:
-        return self._checkpoint is not None and self._checkpoint.has(fingerprint)
-
-    def result_for(self, fingerprint: str):
-        record = self._checkpoint.result_for(fingerprint)
-        if self._cache is not None:
-            self._cache.put(
-                self._plan_fp_for[fingerprint], record.result, record.seconds
-            )
-        return record
-
-    def record(self, fingerprint: str, key: Any, result: Any, seconds: float) -> None:
-        if self._checkpoint is not None:
-            self._checkpoint.record(fingerprint, key, result, seconds)
-        if self._cache is not None:
-            self._cache.put(self._plan_fp_for[fingerprint], result, seconds)
-
-
 def execute_plan(
     plan: CompiledPlan,
     *,
@@ -116,23 +82,23 @@ def execute_plan(
     """Execute every unique cell of ``plan`` once and return the results.
 
     ``workers``/``options`` carry the sweep stack's knobs exactly as
-    :func:`repro.parallel.sweep.run_cells` understands them
-    (``options.workers`` wins over ``workers`` when both are given, so
-    the reproduce driver's ``--workers`` flag applies uniformly).
+    :func:`repro.parallel.sweep.run_cells` understands them.
     ``cache`` is an optional content-addressed result store with
     ``get(fingerprint) -> entry | None`` (entry carries ``result`` and
-    ``seconds``) and ``put(fingerprint, result, seconds)``.
+    ``seconds``) and ``put(fingerprint, result, seconds)``; rerunning an
+    interrupted plan against the same cache executes only the cells it
+    had not finished.
 
     ``executor`` selects *how* the cache-miss cells run: ``None`` (the
     default) uses :class:`~repro.plan.executors.LocalExecutor`, the
     historical in-process pool path; a
     :class:`repro.cluster.DistributedExecutor` leases the same cells to
-    a socket-connected worker fleet instead.  Fingerprints, checkpoint
-    lines, cache entries, and artifacts are identical across executors.
+    a socket-connected worker fleet instead.  Fingerprints, cache
+    entries, and artifacts are identical across executors.
 
     A failing cell propagates :class:`repro.parallel.resilience.
     CellFailedError` after the other cells finish; everything completed
-    by then has already been checkpointed and cached.
+    by then has already been cached.
     """
     stats = plan.stats
     options = options or SweepOptions()
@@ -146,7 +112,7 @@ def execute_plan(
             cell=label,
             cells_unique=plan.cells_unique,
             cells_requested=plan.cells_requested,
-            workers=options.workers if options.workers is not None else workers,
+            workers=workers,
         )
         results: dict[str, Any] = {}
         misses: list[str] = []
@@ -186,32 +152,19 @@ def execute_plan(
                     cell_fingerprint(cell.fn, key, cell.args, cell.kwargs)
                 ] = fingerprint
 
-            effective_workers = (
-                options.workers if options.workers is not None else workers
-            )
-
-            checkpoint = None
-            if options.checkpoint_dir:
-                from repro.harness.checkpoint import open_checkpoint
-
-                checkpoint = open_checkpoint(options.checkpoint_dir, label)
             sweep_stats = options.stats
             if sweep_stats is None:
                 from repro.parallel.resilience import SweepStats
 
                 sweep_stats = SweepStats()
             completed_before = sweep_stats.completed
-            resumed_before = sweep_stats.resumed
 
             request = ExecutionRequest(
                 cells=sweep_cells,
                 label=label,
-                workers=effective_workers,
+                workers=workers,
                 policy=options.policy,
                 fault_plan=options.fault_plan,
-                checkpoint=_CacheRecorder(checkpoint, cache, plan_fp_for)
-                if (checkpoint is not None or cache is not None)
-                else None,
                 stats=sweep_stats,
                 cache=cache,
                 result_fingerprints=plan_fp_for,
@@ -221,9 +174,8 @@ def execute_plan(
             finally:
                 # Count execution even when a cell failed permanently: the
                 # run report's plan section must reflect the work that DID
-                # happen (and was checkpointed/cached) before the abort.
+                # happen (and was cached) before the abort.
                 stats.executed += sweep_stats.completed - completed_before
-                stats.resumed += sweep_stats.resumed - resumed_before
             for fingerprint in misses:
                 results[fingerprint] = outcomes[plan.labels[fingerprint]]
 

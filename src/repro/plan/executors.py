@@ -1,16 +1,17 @@
 """Executor protocol: *how* a plan's cells run, as a pluggable seam.
 
 :func:`repro.plan.executor.execute_plan` owns the plan-level concerns —
-cache partition, checkpoint adapters, stats accounting, result fan-out —
-and delegates the actual running of the cache-miss cells to an
-:class:`Executor`.  Two implementations exist:
+cache partition, stats accounting, result fan-out — and delegates the
+actual running of the cache-miss cells to an :class:`Executor`.  Two
+implementations exist:
 
 * :class:`LocalExecutor` — the historical in-process path: one resilient
   :func:`repro.parallel.sweep.run_cells` sweep (process pools, retries,
-  timeouts, checkpoint/resume, fault injection), with every cell
-  carrying its graph by value.  This is the default and is
-  bit-identical to the pre-protocol inline code: fingerprints,
-  checkpoints, caches, events, and artifacts are unchanged.
+  timeouts, fault injection), with every cell carrying its graph by
+  value and every completed result written into the cache as it
+  finishes.  This is the default and is bit-identical to the
+  pre-protocol inline code: fingerprints, caches, events, and artifacts
+  are unchanged.
 * :class:`repro.cluster.DistributedExecutor` — a socket-based worker
   fleet (coordinator leases cells by fingerprint, workers write results
   through the shared :class:`repro.harness.cache.MeasurementCache`),
@@ -48,17 +49,15 @@ class ExecutionRequest:
 
     ``cells`` are in submission order; the returned dict must fold by
     that order (last duplicate key wins), exactly like
-    :func:`repro.parallel.sweep.run_cells`.  ``checkpoint`` is the
-    duck-typed recorder (``has``/``result_for``/``record``) the plan
-    layer builds — it both resumes and write-backs into the cache.
+    :func:`repro.parallel.sweep.run_cells`.
 
-    ``result_fingerprints`` maps each cell's *sweep* fingerprint
+    ``cache`` is the plan's content-addressed result store (or ``None``)
+    and ``result_fingerprints`` maps each cell's *sweep* fingerprint
     (function + key + args) to the *content* fingerprint (function +
-    args) its result is cached under; ``cache`` is the plan's
-    content-addressed result store.  The local path ignores both (its
-    cache write-back rides the checkpoint recorder); a distributed
-    executor uses them so remote workers can write results straight
-    into the shared cache directory.
+    args) its result is cached under.  The local path writes results in
+    the parent through :meth:`record`; a distributed executor hands both
+    to remote workers, which write results straight into the shared
+    cache directory.
     """
 
     cells: list[SweepCell]
@@ -66,10 +65,16 @@ class ExecutionRequest:
     workers: int | None = None
     policy: Any = None
     fault_plan: Any = None
-    checkpoint: Any = None
     stats: SweepStats | None = None
     cache: Any = None
     result_fingerprints: dict[str, str] = field(default_factory=dict)
+
+    def record(self, fingerprint: str, result: Any, seconds: float) -> None:
+        """Write one completed cell into :attr:`cache` (no-op without one)."""
+        if self.cache is not None:
+            self.cache.put(
+                self.result_fingerprints.get(fingerprint, fingerprint), result, seconds
+            )
 
 
 class Executor(ABC):
@@ -84,7 +89,7 @@ class Executor(ABC):
 
         Must raise :class:`repro.parallel.resilience.CellFailedError`
         when a cell exhausts its retries — after letting every other
-        cell finish (whatever completed must already be checkpointed).
+        cell finish (whatever completed must already be in the cache).
         """
 
 
@@ -105,7 +110,7 @@ class LocalExecutor(Executor):
             label=request.label,
             policy=request.policy,
             fault_plan=request.fault_plan,
-            checkpoint=request.checkpoint,
+            record=request.record,
             stats=request.stats,
         )
 

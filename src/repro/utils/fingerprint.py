@@ -1,8 +1,9 @@
 """Stable content fingerprints for sweep cells and plain-data values.
 
-Checkpoint/resume (:mod:`repro.harness.checkpoint`) and deterministic
-fault injection (:mod:`repro.parallel.faults`) both need a cell identity
-that is *stable across processes and interpreter runs*: Python's builtin
+The measurement cache (:mod:`repro.harness.cache`), deterministic fault
+injection (:mod:`repro.parallel.faults`) and fleet leases
+(:mod:`repro.cluster`) all need a cell identity that is *stable across
+processes and interpreter runs*: Python's builtin
 ``hash`` is salted per process, ``id`` is meaningless after a restart,
 and ``repr`` of numpy arrays truncates.  :func:`stable_digest` walks a
 value recursively and feeds a canonical byte encoding into SHA-256, so
@@ -14,8 +15,8 @@ same encoding JSON round-trips exactly), strings, bytes, tuples, lists,
 sets/frozensets (order-canonicalized), dicts (key-order-canonicalized),
 numpy scalars and arrays (dtype + shape + raw bytes), dataclasses (class
 qualname + fields), and callables (module + qualname — identity by
-*name*, so editing a function's body does not invalidate checkpoints;
-renaming or moving it does).  Anything else falls back to ``repr``,
+*name*, so editing a function's body does not invalidate cache
+entries; renaming or moving it does).  Anything else falls back to ``repr``,
 which keeps the digest total but only as stable as the repr.
 """
 
@@ -131,7 +132,8 @@ def cell_fingerprint(fn, key: Any, args: tuple = (), kwargs: dict | None = None)
     """Fingerprint of one sweep cell: function identity + key + arguments.
 
     Two cells share a fingerprint iff they would compute the same result
-    (same function by name, same plain-data arguments), which is exactly
-    the skip condition checkpoint/resume needs.
+    under the same key (same function by name, same plain-data
+    arguments): the per-cell identity fault plans and fleet leases key
+    on.
     """
     return stable_digest((fn, key, tuple(args), dict(kwargs or {})))

@@ -270,52 +270,6 @@ def test_protocol_mismatch_is_rejected(tmp_path):
     coordinator.close()
 
 
-def test_checkpoint_resume_skips_recorded_cells(tmp_path):
-    class Recorder:
-        def __init__(self):
-            self.records = {}
-
-        def has(self, fingerprint):
-            return fingerprint in self.records
-
-        def result_for(self, fingerprint):
-            return self.records[fingerprint]
-
-        def record(self, fingerprint, key, result, seconds):
-            class Entry:
-                pass
-
-            entry = Entry()
-            entry.result = result
-            entry.seconds = seconds
-            self.records[fingerprint] = entry
-
-    recorder = Recorder()
-    stats_a = SweepStats()
-    coordinator, _ = _coordinator(
-        tmp_path, _cells(6), checkpoint=recorder, stats=stats_a
-    )
-    host, port = coordinator.start()
-    thread = _worker_thread(host, port)
-    assert coordinator.wait(timeout=30.0)
-    assert coordinator.result() == {i: i * i for i in range(6)}
-    coordinator.close()
-    thread.join(timeout=5.0)
-    assert len(recorder.records) == 6
-
-    # Second run resumes everything: no worker needed at all.
-    stats_b = SweepStats()
-    resumed, _ = _coordinator(
-        tmp_path, _cells(6), checkpoint=recorder, stats=stats_b
-    )
-    resumed.start()
-    assert resumed.wait(timeout=5.0)
-    assert resumed.result() == {i: i * i for i in range(6)}
-    assert stats_b.resumed == 6
-    assert stats_b.completed == 0
-    resumed.close()
-
-
 def test_drain_pending_returns_submission_order(tmp_path):
     coordinator, _ = _coordinator(tmp_path, _cells(5), expected_workers=3)
     coordinator.start()

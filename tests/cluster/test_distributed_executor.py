@@ -9,6 +9,7 @@ from repro.cluster import DistributedExecutor
 from repro.harness.cache import MeasurementCache
 from repro.obs.events import EventBus, collecting
 from repro.parallel import SweepCell, SweepStats, run_cells
+from repro.plan import Cell, ExperimentSpec, compile_plan, execute_plan
 from repro.plan.executors import ExecutionRequest, make_executor
 
 from tests.cluster.cellfns import die_in_worker, graph_edges, square
@@ -84,6 +85,33 @@ def test_fleet_death_falls_back_to_serial(tmp_path):
     )
     assert result == {i: i * i for i in range(6)}
     assert stats.serial_fallback
+
+
+def test_parent_never_writes_the_shared_cache(tmp_path, monkeypatch):
+    """Workers write each result once; the parent only reads it back."""
+    puts = []
+    put = MeasurementCache.put
+
+    def counting_put(cache, fingerprint, result, seconds):
+        puts.append(fingerprint)
+        put(cache, fingerprint, result, seconds)
+
+    # Spawned workers start a fresh interpreter, so only the parent's
+    # writes are counted.
+    monkeypatch.setattr(MeasurementCache, "put", counting_put)
+    cache = MeasurementCache(str(tmp_path / "cache"))
+    spec = ExperimentSpec(
+        name="squares",
+        cells={i: Cell(fn=square, args=(i,)) for i in range(6)},
+        build=dict,
+    )
+    plan = compile_plan([spec])
+    results = execute_plan(
+        plan, cache=cache, executor=DistributedExecutor(spawn_workers=1)
+    )
+    assert results.artifact("squares") == {i: i * i for i in range(6)}
+    assert puts == []
+    assert len(cache) == 6
 
 
 def test_transport_cache_is_private_and_cleaned_up():

@@ -136,11 +136,27 @@ def test_suite_plan_parallel_identical(tiny_graphs):
 def test_parallel_wall_clock_reduction():
     from time import perf_counter
 
-    sizes = [16384, 16384, 16384, 16384]
-    start = perf_counter()
-    figure7_scaling_vertices(sizes)
-    serial_s = perf_counter() - start
-    start = perf_counter()
-    figure7_scaling_vertices(sizes, workers=2)
-    parallel_s = perf_counter() - start
-    assert parallel_s < serial_s
+    from repro.harness.figures import figure7_spec
+    from repro.plan import compile_plan
+
+    # figure7_spec keys cells by size, so only distinct sizes give the
+    # pool more than one cell to overlap.
+    sizes = [13312, 14336, 15360, 16384]
+    assert compile_plan([figure7_spec(sizes)]).cells_unique == 4
+
+    # Two timed runs (serial, then pooled) are too noisy to compare on a
+    # 2-CPU host.  Measure the overlap inside one pooled run instead: the
+    # cells' summed compute time must clearly exceed the run's wall time.
+    recorder = enable()
+    try:
+        start = perf_counter()
+        figure7_scaling_vertices(sizes, workers=2)
+        wall_s = perf_counter() - start
+    finally:
+        disable()
+    cell_s = sum(
+        recorder.stats(path).seconds
+        for path in recorder.paths()
+        if "sweep[" in path and "/cell[" in path
+    )
+    assert cell_s / wall_s > 1.2

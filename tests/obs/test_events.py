@@ -4,8 +4,8 @@ The contracts pinned here are the ones the sweep engine and the report
 writers lean on: the disabled fast path is a true no-op, the collector
 drops (and counts) incompatible schema majors, subscriber exceptions
 never propagate into ingestion, clock offsets map worker timestamps onto
-the parent clock, ``fleet_summary`` keeps the ``executed + cached +
-resumed == total`` identity under fingerprint dedup, and
+the parent clock, ``fleet_summary`` keeps the ``executed + cached ==
+total`` identity under fingerprint dedup, and
 ``merge_into_trace`` renders per-worker tracks (spans, instants,
 resource counters) into one Chrome trace.
 """
@@ -176,13 +176,11 @@ def test_fleet_summary_accounting_identity_with_dedup():
     # must not double count.
     bus.emit("cell_finished", cell="a", fingerprint="fp-a", seconds=1.0)
     bus.emit("cache_hit", cell="b", fingerprint="fp-b")
-    bus.emit("checkpoint_resumed", cell="c", fingerprint="fp-c", seconds=0.2)
     fleet = bus.fleet_summary()
     cells = fleet["cells"]
     assert cells["executed"] == 1
     assert cells["cached"] == 1
-    assert cells["resumed"] == 1
-    assert cells["total"] == cells["executed"] + cells["cached"] + cells["resumed"]
+    assert cells["total"] == cells["executed"] + cells["cached"]
     assert cells["failed"] == 0
     assert fleet["workers"]["spawned"] == 1
     assert fleet["schema_version"] == EVENTS_SCHEMA_VERSION
@@ -344,6 +342,6 @@ def test_gail_payload_duck_types_on_measurement_like_results():
 def test_event_kinds_cover_the_documented_lifecycle():
     assert set(EVENT_KINDS) >= {
         "plan_started", "cell_started", "cell_finished", "cell_retried",
-        "cell_timeout", "cell_faulted", "cache_hit", "checkpoint_resumed",
+        "cell_timeout", "cell_faulted", "cache_hit",
         "worker_spawned", "worker_replaced", "resource_sample",
     }

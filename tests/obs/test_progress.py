@@ -171,10 +171,9 @@ def test_terminal_events_dedup_by_fingerprint():
     # the same fingerprint must not inflate done.
     renderer.handle(_event("cell_finished", cell="a", fingerprint="fp-a"))
     renderer.handle(_event("cache_hit", cell="a", fingerprint="fp-a"))
-    renderer.handle(_event("checkpoint_resumed", cell="b", fingerprint="fp-b"))
+    renderer.handle(_event("cache_hit", cell="b", fingerprint="fp-b"))
     assert renderer.executed == 1
-    assert renderer.cached == 0
-    assert renderer.resumed == 1
+    assert renderer.cached == 1
     assert renderer.done == 2
 
 

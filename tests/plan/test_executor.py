@@ -105,29 +105,6 @@ def test_cache_partial_warm_start(tmp_path):
     assert grown.stats.executed == 2
 
 
-def test_checkpoint_resume_also_warms_the_cache(tmp_path):
-    ck = str(tmp_path / "ck")
-    cache = MeasurementCache(str(tmp_path / "cache"))
-    options = SweepOptions(checkpoint_dir=ck)
-
-    plan = compile_plan(_shared_specs())
-    execute_plan(plan, options=options)
-    assert plan.stats.executed == 3
-
-    # Resume everything from the checkpoint; the resumed results must be
-    # mirrored into the cache even though nothing executed.
-    CALLS.clear()
-    resumed = compile_plan(_shared_specs())
-    execute_plan(resumed, options=SweepOptions(checkpoint_dir=ck), cache=cache)
-    assert CALLS == []
-    assert resumed.stats.executed == 0
-    assert resumed.stats.resumed == 3
-
-    warm = compile_plan(_shared_specs())
-    execute_plan(warm, cache=cache)
-    assert warm.stats.cache_hits == 3
-
-
 def test_failure_propagates_and_counts_completed_work():
     spec = _spec(
         "mixed",
