@@ -33,10 +33,11 @@ A thin front end over the library for the common workflows:
   figure as one deduplicated plan with fault-tolerant, cacheable sweeps;
   rerunning against the same cache resumes an interrupted run
   (forwards to :mod:`repro.harness.reproduce`);
-* ``repro-pb worker --connect HOST:PORT`` — join a ``--distribute``
-  run (``plan --execute`` or ``reproduce``) as a fleet worker: lease
-  cells from the coordinator, write results into the shared
-  measurement cache (:mod:`repro.cluster`, ``docs/distributed.md``).
+* ``repro-pb worker --connect HOST:PORT`` — join a pooled run
+  (``plan --execute`` or ``reproduce`` with ``--workers >= 2`` and a
+  fixed ``--bind`` port) as an extra worker: lease cells from the
+  coordinator, write results into the shared measurement cache
+  (:mod:`repro.cluster`, ``docs/distributed.md``).
 
 Every subcommand prints an aligned text table to stdout; ``measure``,
 ``pagerank`` and ``compare`` additionally emit machine-readable
@@ -243,24 +244,19 @@ def _serve_parent() -> argparse.ArgumentParser:
 
 
 def _fleet_parent() -> argparse.ArgumentParser:
-    """``--distribute``/``--bind``/``--lease-timeout`` — the worker fleet."""
+    """``--bind``/``--lease-timeout`` — the coordinator of pooled runs."""
+    from repro.cluster.wire import endpoint_argument
+
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--distribute",
-        type=int,
-        default=None,
-        metavar="N",
-        help="lease cells to a socket worker fleet instead of the "
-        "in-process pool: spawn N local worker processes (0 = spawn "
-        "none; attach external ones with `repro-pb worker --connect`)",
-    )
     p.add_argument(
         "--bind",
         metavar="HOST:PORT",
+        type=endpoint_argument,
         default="127.0.0.1:0",
-        help="with --distribute: coordinator listen address (default "
-        "127.0.0.1:0 — loopback, ephemeral port; bind wider only on a "
-        "network that shares the cache filesystem, see "
+        help="with --workers >= 2: coordinator listen address (default "
+        "127.0.0.1:0 — loopback, ephemeral port; a fixed port lets "
+        "external `repro-pb worker --connect` processes join; bind wider "
+        "only on a network that shares the cache filesystem, see "
         "docs/distributed.md)",
     )
     p.add_argument(
@@ -268,7 +264,7 @@ def _fleet_parent() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="with --distribute: how long a silent worker may hold a "
+        help="with --workers >= 2: how long a silent worker may hold a "
         "cell before the lease expires and the cell is re-leased "
         "(default 30)",
     )
@@ -405,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-parallel workers for --execute (1 = serial, "
-        "0 = one per usable CPU)",
+        help="worker processes for --execute, leased by a local "
+        "coordinator (1 = serial, 0 = one per usable CPU)",
     )
     p_plan.add_argument(
         "--trace",
@@ -424,15 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worker = add_parser(
         "worker",
-        help="join a distributed plan run as a fleet worker (dial the "
-        "coordinator a --distribute run is listening on)",
+        help="join a pooled plan run as an extra worker (dial the "
+        "coordinator a --workers >= 2 run is listening on)",
     )
     p_worker.add_argument(
         "--connect",
         metavar="HOST:PORT",
         required=True,
-        help="coordinator address, as printed by the --distribute run "
-        "(or fixed with its --bind)",
+        help="coordinator address, as fixed with the pooled run's --bind",
     )
     p_worker.add_argument(
         "--cache-dir",
@@ -1068,28 +1063,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return _execute_plan_cli(args, plan, cache)
 
 
-def _make_distributed_executor(args: argparse.Namespace, program: str):
-    """Build a :class:`DistributedExecutor` from ``--distribute``/``--bind``/
-    ``--lease-timeout``, or ``None`` when the flags are absent."""
-    if getattr(args, "distribute", None) is None:
-        return None
-    from repro.cluster import DistributedExecutor, parse_endpoint
-
-    if args.distribute < 0:
-        print(f"{program}: error: --distribute must be >= 0", file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        bind = parse_endpoint(args.bind)
-    except ValueError as exc:
-        print(f"{program}: error: --bind: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    return DistributedExecutor(
-        spawn_workers=args.distribute,
-        bind=bind,
-        lease_seconds=args.lease_timeout,
-    )
-
-
 def _cmd_worker(args: argparse.Namespace) -> int:
     """``repro-pb worker``: serve one coordinator until it shuts us down."""
     from repro.cluster import parse_endpoint, run_worker
@@ -1119,10 +1092,9 @@ def _execute_plan_cli(args: argparse.Namespace, plan, cache) -> int:
     from repro.obs.events import collecting as collecting_events
     from repro.obs.progress import attach_progress
     from repro.obs.trace import TraceRecorder
-    from repro.parallel.resilience import CellFailedError
+    from repro.parallel.resilience import CellFailedError, SweepOptions
     from repro.plan import execute_plan
 
-    executor = _make_distributed_executor(args, "repro-pb plan")
     bus = EventBus()
     tracer = TraceRecorder() if args.trace else None
     renderer = attach_progress(bus, mode=args.progress, quiet=args.quiet > 0)
@@ -1134,13 +1106,14 @@ def _execute_plan_cli(args: argparse.Namespace, plan, cache) -> int:
                 execute_plan(
                     plan,
                     workers=args.workers,
+                    options=SweepOptions(
+                        bind=args.bind, lease_seconds=args.lease_timeout
+                    ),
                     cache=cache,
-                    executor=executor,
                 )
             except CellFailedError as exc:
                 print(f"repro-pb plan: error: {exc}", file=sys.stderr)
                 failed = True
-    bus.pump()
     if renderer is not None:
         renderer.finish()
     fleet = bus.fleet_summary()
@@ -1148,7 +1121,6 @@ def _execute_plan_cli(args: argparse.Namespace, plan, cache) -> int:
         bus.merge_into_trace(tracer)
         tracer.save(args.trace)
         print(f"[trace written to {args.trace}]")
-    bus.close()
     cells = fleet["cells"]
     print(
         f"\nexecuted {cells['executed']}, cached {cells['cached']} "

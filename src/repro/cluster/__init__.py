@@ -1,28 +1,29 @@
-"""Distributed plan execution: the cell DAG as a cluster scheduler.
+"""Pooled plan execution: the cell DAG as a cluster scheduler.
 
 The paper's blocking insight — batch work by destination so
 communication amortizes — applied to the harness itself.  A
-:class:`~repro.cluster.coordinator.Coordinator` leases a compiled
-plan's cells by content fingerprint to socket-connected workers
-(:mod:`repro.cluster.worker`, ``repro-pb worker``); cells sharing a
-graph are leased to the same worker (graph-affinity lanes sized to the
-fleet) and each graph ships over the wire at most once per worker
-(:mod:`repro.cluster.shipping`).  Results travel through the
-shared, atomically-written :class:`repro.harness.cache.
-MeasurementCache`; worker death or hang is recovered through
-heartbeat-expiring leases feeding the PR-4 retry/backoff machinery.
+:class:`~repro.cluster.coordinator.Coordinator` leases a sweep's cells
+to socket-connected workers (:mod:`repro.cluster.worker`, ``repro-pb
+worker``); cells sharing a graph are leased to the same worker
+(graph-affinity lanes sized to the fleet) and each graph ships over the
+wire at most once per worker (:mod:`repro.cluster.shipping`).  Results
+travel through the shared, atomically-written
+:class:`repro.harness.cache.MeasurementCache`; worker death or hang is
+recovered through heartbeat-expiring leases, per-cell deadlines and
+worker respawns feeding the sweep engine's retry/backoff accounting.
 
-:class:`DistributedExecutor` plugs the whole subsystem into
-:func:`repro.plan.execute_plan` through the
-:class:`~repro.plan.executors.Executor` seam — ``repro-pb reproduce
---distribute 4`` runs the exact plan a serial run would, byte-identical
-artifacts included.  Everything is stdlib: ``socket`` + ``struct``
-framing (:mod:`repro.cluster.wire`), pickled plain-data messages, no
-new dependencies.
+This is the scheduler of every pooled run: :func:`run_fleet` is what
+:func:`repro.parallel.sweep.run_cells` calls for ``workers >= 2``, so
+``repro-pb reproduce --workers 4`` runs the exact plan a serial run
+would, byte-identical artifacts included, on four local worker
+processes — plus any external ``repro-pb worker`` that dials a fixed
+``--bind`` port.  Everything is stdlib: ``socket`` + ``struct`` framing
+(:mod:`repro.cluster.wire`), pickled plain-data messages, no new
+dependencies.
 """
 
 from repro.cluster.coordinator import Coordinator, RemoteCellError
-from repro.cluster.executor import DistributedExecutor
+from repro.cluster.executor import run_fleet
 from repro.cluster.shipping import GraphTicket, resolve_cell, strip_cell
 from repro.cluster.wire import (
     PROTOCOL_VERSION,
@@ -34,7 +35,7 @@ from repro.cluster.worker import run_worker
 
 __all__ = [
     "Coordinator",
-    "DistributedExecutor",
+    "run_fleet",
     "RemoteCellError",
     "GraphTicket",
     "strip_cell",

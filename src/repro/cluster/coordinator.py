@@ -1,21 +1,24 @@
 """Lease-based cell coordinator: the plan DAG as a cluster scheduler.
 
-The coordinator owns one plan execution's miss cells and hands them to
+The coordinator owns one sweep's cells and hands them to
 socket-connected workers as **leases** — (cell, fingerprint, attempt)
-grants that must be renewed by heartbeat and expire on silence.  The
-design mirrors the in-process engine (:class:`repro.parallel.
-resilience._Engine`) wherever semantics overlap, and *shares its code*
-where the repo already has it:
+grants that must be renewed by heartbeat and expire on silence.  It is
+the scheduler of every pooled sweep (:func:`repro.cluster.executor.
+run_fleet`), and it *shares its code* with the serial path of
+:mod:`repro.parallel.resilience` wherever the semantics overlap:
 
 * failure accounting (retry budget, deterministic backoff, the
   ``cell_faulted``/``cell_timeout``/``cell_retried`` events, permanent
   failures) goes through :func:`repro.parallel.resilience.
-  record_attempt_failure` — a lease that expires is charged exactly
-  like a timed-out pool cell and re-queued through the same
-  retry/backoff path;
-* results land in the same content-addressed cache the local path
-  writes, so resuming a half-distributed run locally (or vice versa)
-  is just a rerun against that cache;
+  record_attempt_failure` — a lease that expires or overruns its
+  per-cell deadline is charged like any other failed attempt and
+  re-queued through the same retry/backoff path;
+* a failed attempt's ``failed`` frame carries the worker's exception
+  itself (pickled, with the worker traceback attached as a note), so
+  the :class:`~repro.parallel.resilience.CellFailedError` a sweep
+  raises chains the original exception;
+* the serial fallback (:meth:`Coordinator.run_pending_serially`) runs
+  :func:`repro.parallel.resilience.run_serial`;
 * lease ordering is locality-aware through
   :func:`~repro.parallel.scheduling.cell_affinity` /
   :func:`~repro.parallel.scheduling.affinity_lanes`: cells sharing a
@@ -24,18 +27,20 @@ where the repo already has it:
 
 The **data plane stays off the wire**: a worker writes its result into
 the shared :class:`repro.harness.cache.MeasurementCache` (atomic
-tempfile + rename) and sends only the fingerprint; the coordinator
-validates the entry exists and readable before accounting the cell
-complete — a torn or missing write is charged as a failed attempt.
+tempfile + rename) and sends only the lease's submission index; the
+coordinator validates the entry exists and is readable before
+accounting the cell complete — a torn or missing write is charged as a
+failed attempt.
 
 Results fold by submission order, and a cell that exhausts its retries
 raises :class:`~repro.parallel.resilience.CellFailedError` from
-:meth:`Coordinator.wait` only after every other cell finished — the
+:meth:`Coordinator.result` only after every other cell finished — the
 same contract :func:`repro.parallel.sweep.run_cells` gives.
 """
 
 from __future__ import annotations
 
+import pickle
 import socket
 import threading
 import time
@@ -47,18 +52,22 @@ from repro.obs import events as _events
 from repro.obs.log import get_logger
 from repro.parallel.faults import FaultPlan
 from repro.parallel.resilience import (
-    CellFailedError,
+    DEFAULT_BIND,
+    DEFAULT_LEASE_SECONDS,
     CellTimeoutError,
     CorruptResultError,
     RetryPolicy,
     SweepStats,
+    _CellRun,
+    cell_runs,
+    fold_results,
     record_attempt_failure,
     resolve_policy,
+    run_serial,
 )
 from repro.parallel.scheduling import affinity_lanes, cell_affinity
 from repro.cluster.shipping import strip_cell
 from repro.cluster.wire import PROTOCOL_VERSION, Connection, FrameError
-from repro.utils.fingerprint import cell_fingerprint
 
 __all__ = ["Coordinator", "RemoteCellError"]
 
@@ -66,7 +75,8 @@ log = get_logger("cluster.coordinator")
 
 
 class RemoteCellError(RuntimeError):
-    """A cell raised on a fleet worker; carries the remote traceback."""
+    """A cell raised on a fleet worker an exception that could not be
+    pickled back; carries its type name and the remote traceback."""
 
     def __init__(self, error: str, message: str, traceback_text: str = "") -> None:
         self.error = error
@@ -74,61 +84,38 @@ class RemoteCellError(RuntimeError):
         super().__init__(f"{error}: {message}")
 
 
-#: Worker-reported failure kinds mapped back onto the exception types
-#: the shared failure accounting distinguishes (fault-injection and
-#: timeout counters).
 def _remote_exception(report: dict[str, Any]) -> BaseException:
-    from repro.parallel.faults import InjectedCrash, InjectedTimeout
-
-    kinds: dict[str, Callable[[str], BaseException]] = {
-        "injected_crash": InjectedCrash,
-        "injected_timeout": InjectedTimeout,
-        "corrupt": CorruptResultError,
-    }
-    kind = report.get("error_kind", "error")
-    message = str(report.get("message", ""))
-    if kind in kinds:
-        return kinds[kind](message)
-    return RemoteCellError(
-        str(report.get("error", "Exception")),
-        message,
-        str(report.get("traceback", "")),
-    )
-
-
-class _LeaseTask:
-    """Mutable scheduling state of one cell (the fleet's ``_CellRun``)."""
-
-    __slots__ = (
-        "index",
-        "cell",
-        "fingerprint",
-        "cache_fingerprint",
-        "attempt",
-        "not_before",
-        "lane",
-    )
-
-    def __init__(
-        self, index: int, cell, fingerprint: str, cache_fingerprint: str | None
-    ) -> None:
-        self.index = index
-        self.cell = cell
-        self.fingerprint = fingerprint
-        self.cache_fingerprint = cache_fingerprint
-        self.attempt = 0
-        self.not_before = 0.0
-        self.lane = 0
+    """The exception a ``failed`` frame reports, with its worker traceback."""
+    traceback_text = str(report.get("traceback", ""))
+    try:
+        exc = pickle.loads(report["exception"])
+        if not isinstance(exc, BaseException):
+            raise TypeError(f"not an exception: {exc!r}")
+    except Exception:  # noqa: BLE001 — missing or undecodable: fall back
+        return RemoteCellError(
+            str(report.get("error", "Exception")),
+            str(report.get("message", "")),
+            traceback_text,
+        )
+    if traceback_text and hasattr(exc, "add_note"):
+        exc.add_note(f"worker traceback:\n{traceback_text}")
+    return exc
 
 
 class _Lease:
-    __slots__ = ("task", "worker", "granted", "expires")
+    """One granted cell: ``expires`` is renewed by heartbeats, ``deadline``
+    (the policy's ``cell_timeout`` from grant time) is not."""
 
-    def __init__(self, task: _LeaseTask, worker: str, now: float, ttl: float) -> None:
+    __slots__ = ("task", "worker", "granted", "expires", "deadline")
+
+    def __init__(
+        self, task: _CellRun, worker: str, now: float, ttl: float, timeout: float | None
+    ) -> None:
         self.task = task
         self.worker = worker
         self.granted = now
         self.expires = now + ttl
+        self.deadline = None if timeout is None else now + timeout
 
 
 class _WorkerState:
@@ -144,7 +131,7 @@ class _WorkerState:
 
 
 class Coordinator:
-    """Lease one plan's cells to a fleet of socket workers.
+    """Lease one sweep's cells to a fleet of socket workers.
 
     ``cells`` are sweep cells in submission order; ``cache`` is the
     shared :class:`~repro.harness.cache.MeasurementCache` both sides
@@ -152,9 +139,10 @@ class Coordinator:
     ``result_fingerprints`` maps sweep fingerprints to the content
     fingerprints workers write results under.  ``policy``/
     ``fault_plan``/``stats`` behave exactly as in
-    :func:`repro.parallel.sweep.run_cells`.  ``expected_workers`` sizes
-    the affinity lanes; ``lease_seconds`` bounds how long a silent
-    worker holds a cell.
+    :func:`repro.parallel.sweep.run_cells`; ``note(name, seconds)``
+    receives the ``cell[key]``/``retry[key]`` timings.
+    ``expected_workers`` sizes the affinity lanes; ``lease_seconds``
+    bounds how long a silent worker holds a cell.
     """
 
     def __init__(
@@ -169,8 +157,8 @@ class Coordinator:
         stats: SweepStats | None = None,
         note: Callable[[str, float], None] | None = None,
         expected_workers: int = 1,
-        lease_seconds: float = 30.0,
-        bind: tuple[str, int] = ("127.0.0.1", 0),
+        lease_seconds: float = DEFAULT_LEASE_SECONDS,
+        bind: tuple[str, int] = DEFAULT_BIND,
     ) -> None:
         self.cells = cells
         self.cache = cache
@@ -182,34 +170,29 @@ class Coordinator:
         self.expected_workers = max(1, expected_workers)
         self.lease_seconds = lease_seconds
         self._bind = bind
-        self._fingerprints = dict(result_fingerprints or {})
 
         self._lock = threading.RLock()
+        # Signalled whenever the queue gains a task or the sweep ends:
+        # wakes wait() and workers long-polling for a lease.
         self._done = threading.Condition(self._lock)
         self.outcomes: dict[int, Any] = {}
-        self.failures: list[tuple[_LeaseTask, BaseException]] = []
-        self._leases: dict[str, _Lease] = {}  # sweep fingerprint -> lease
+        self.failures: list[tuple[_CellRun, BaseException]] = []
+        self._leases: dict[int, _Lease] = {}  # submission index -> lease
         self._workers: dict[str, _WorkerState] = {}
+        self._wedged: list[int] = []  # pids of workers past a cell deadline
         self._threads: list[threading.Thread] = []
         self._listener: socket.socket | None = None
         self._closing = False
         self.address: tuple[str, int] | None = None
 
         self.stats.cells += len(cells)
-        runs: list[_LeaseTask] = []
-        for index, cell in enumerate(cells):
-            fingerprint = cell_fingerprint(cell.fn, cell.key, cell.args, cell.kwargs)
-            runs.append(
-                _LeaseTask(
-                    index, cell, fingerprint, self._fingerprints.get(fingerprint)
-                )
-            )
+        runs = cell_runs(cells, result_fingerprints)
 
         # Locality-aware lease ordering: affinity lanes sized to the
         # expected fleet.  A worker drains its own lane first and steals
         # from the fullest other lane when dry, so co-located graphs stay
         # co-located without ever idling a worker.
-        self._lanes: list[deque[_LeaseTask]] = [
+        self._lanes: list[deque[_CellRun]] = [
             deque() for _ in range(self.expected_workers)
         ]
         if runs:
@@ -234,14 +217,25 @@ class Coordinator:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    def listen(self) -> tuple[str, int]:
+        """Bind and listen (no threads yet); return ``(host, port)``.
+
+        Workers may dial as soon as this returns — the backlog holds
+        them until :meth:`start` accepts — so local workers can be
+        forked before the coordinator becomes multi-threaded.
+        """
+        if self._listener is None:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(self._bind)
+            listener.listen(64)
+            self._listener = listener
+            self.address = listener.getsockname()[:2]
+        return self.address
+
     def start(self) -> tuple[str, int]:
-        """Bind, listen, and return the dialable ``(host, port)``."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self._bind)
-        listener.listen(64)
-        self._listener = listener
-        self.address = listener.getsockname()[:2]
+        """Listen, start accepting and expiring; return ``(host, port)``."""
+        address = self.listen()
         accept = threading.Thread(
             target=self._accept_loop, name="repro-cluster-accept", daemon=True
         )
@@ -254,11 +248,11 @@ class Coordinator:
         log.info(
             "%s: coordinator listening on %s:%d (%d cell(s), %d lane(s))",
             self.label,
-            *self.address,
+            *address,
             self._remaining,
             self.expected_workers,
         )
-        return self.address
+        return address
 
     def done(self) -> bool:
         with self._lock:
@@ -267,6 +261,18 @@ class Coordinator:
     def connected_workers(self) -> int:
         with self._lock:
             return len(self._workers)
+
+    def queued(self) -> int:
+        """Cells waiting for a lease (not counting leased ones)."""
+        with self._lock:
+            return sum(len(lane) for lane in self._lanes)
+
+    def take_wedged(self) -> list[int]:
+        """Pids of workers whose cell overran its deadline since the last
+        call; their cells are already charged, the processes are stuck."""
+        with self._lock:
+            wedged, self._wedged = self._wedged, []
+            return wedged
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until every cell completed or permanently failed."""
@@ -280,35 +286,13 @@ class Coordinator:
         return True
 
     def result(self) -> dict[Any, Any]:
-        """``{cell.key: result}`` in submission order, or raise.
-
-        Exactly the engine's contract: :class:`CellFailedError` names
-        the first permanently failed cell and chains its (remote)
-        cause, after every other cell had its chance.
-        """
+        """``{cell.key: result}`` in submission order, or raise
+        :class:`~repro.parallel.resilience.CellFailedError` naming the
+        first permanently failed cell and chaining its cause."""
         with self._lock:
-            if self.failures:
-                first_task, first_exc = self.failures[0]
-                raise CellFailedError(
-                    first_task.cell.key,
-                    first_task.attempt + 1,
-                    first_exc,
-                    also_failed=[task.cell.key for task, _ in self.failures[1:]],
-                ) from first_exc
-            return {
-                cell.key: self.outcomes[index]
-                for index, cell in enumerate(self.cells)
-                if index in self.outcomes
-            }
+            return fold_results(self.cells, self.outcomes, self.failures)
 
-    def drain_pending(self) -> list:
-        """Remove and return not-yet-completed cells in submission order.
-
-        The serial-fallback path: when the fleet is gone for good the
-        executor runs what is left in-process, mirroring the pool
-        engine's degradation.  Leased cells are *not* drained — their
-        workers may still complete them — only queued ones.
-        """
+    def _drain_tasks(self) -> list[_CellRun]:
         with self._lock:
             tasks = sorted(
                 (task for lane in self._lanes for task in lane),
@@ -319,21 +303,56 @@ class Coordinator:
             self._remaining -= len(tasks)
             if not self._remaining:
                 self._done.notify_all()
-            return [task.cell for task in tasks]
+            return tasks
+
+    def drain_pending(self) -> list:
+        """Remove and return not-yet-completed cells in submission order.
+
+        Leased cells are *not* drained — their workers may still
+        complete them — only queued ones.
+        """
+        return [task.cell for task in self._drain_tasks()]
 
     def absorb(self, outcomes: dict[Any, Any]) -> None:
-        """Fold serial-fallback results back in (keyed by cell key)."""
+        """Fold externally computed results back in (keyed by cell key)."""
         with self._lock:
             for index, cell in enumerate(self.cells):
                 if index not in self.outcomes and cell.key in outcomes:
                     self.outcomes[index] = outcomes[cell.key]
 
-    def close(self, grace: float = 2.0) -> None:
-        """Stop accepting, drop every connection, wake every waiter.
+    def run_pending_serially(self) -> int:
+        """The fleet is gone: run every queued cell in this process.
 
-        After a finished plan, connected workers are given ``grace``
+        Attempts continue where the fleet left them, with the same
+        retry accounting; results are cached here, by the process that
+        computed them.  Returns how many cells were drained.
+        """
+        tasks = self._drain_tasks()
+
+        def complete(task: _CellRun, result: Any, seconds: float) -> None:
+            with self._lock:
+                self._record_outcome(task, result, seconds)
+            self.cache.put(task.cache_fingerprint or task.fingerprint, result, seconds)
+
+        def fail(task: _CellRun, exc: BaseException, elapsed: float) -> bool:
+            with self._lock:
+                return record_attempt_failure(
+                    task, exc, elapsed, policy=self.policy, stats=self.stats,
+                    note=self.note, failures=self.failures, label=self.label,
+                )
+
+        run_serial(tasks, self.plan, complete=complete, fail=fail)
+        return len(tasks)
+
+    def close(self, grace: float = 2.0) -> None:
+        """Stop accepting, drop every connection, wake every waiter, and
+        join the coordinator's threads.
+
+        After a finished sweep, connected workers are given ``grace``
         seconds to pick up their ``shutdown`` reply and leave on their
         own, so a clean run ends in goodbyes rather than mid-ack EOFs.
+        Joining leaves the process single-threaded again, so the next
+        sweep's workers fork from a process without threads.
         """
         if grace > 0 and self.done():
             deadline = monotonic() + grace
@@ -348,16 +367,41 @@ class Coordinator:
             self._done.notify_all()
         if self._listener is not None:
             try:
-                self._listener.close()
+                # shutdown wakes the accept() blocked in another thread;
+                # close alone leaves it blocked.
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._listener.close()
         for worker in workers:
             worker.conn.close()
+        deadline = monotonic() + 2.0
+        for thread in list(self._threads):
+            if thread is not threading.current_thread():
+                thread.join(timeout=max(0.0, deadline - monotonic()))
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _pop_task(self, lane_index: int, now: float) -> _LeaseTask | None:
+    def _requeue(self, task: _CellRun, *, front: bool = False) -> None:
+        lane = self._lanes[task.lane]
+        if front:
+            lane.appendleft(task)
+        else:
+            lane.append(task)
+        self._done.notify_all()
+
+    def _record_outcome(self, task: _CellRun, result: Any, seconds: float) -> None:
+        self.outcomes[task.index] = result
+        self.stats.completed += 1
+        self.note(f"cell[{task.cell.key}]", seconds)
+
+    def _finish_one(self) -> None:
+        self._remaining -= 1
+        if not self._remaining:
+            self._done.notify_all()
+
+    def _pop_task(self, lane_index: int, now: float) -> _CellRun | None:
         """Next eligible task: own lane front, else steal a fullest-lane
         tail (keeps the victim lane's locality run intact)."""
         lane = self._lanes[lane_index % len(self._lanes)]
@@ -382,9 +426,7 @@ class Coordinator:
     def _retry_after(self, now: float) -> float:
         """How long an idle worker should wait before asking again."""
         queued = [task.not_before for lane in self._lanes for task in lane]
-        if queued:
-            return min(max(0.0, min(queued) - now) + 0.005, 0.25)
-        return 0.05  # everything in flight; completions may requeue
+        return min(max(0.0, min(queued) - now) + 0.005, 0.25)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -501,35 +543,43 @@ class Coordinator:
                 self._release_worker(worker, clean=clean)
 
     def _grant(self, worker: _WorkerState) -> bool:
-        """Lease the next cell to ``worker``; False when none granted."""
-        now = monotonic()
+        """Lease the next cell to ``worker``; False when none granted.
+
+        While every remaining cell is leased elsewhere the request is
+        held (a long poll): a requeue, the sweep's end or close wakes
+        it, so no worker sleeps through the moment it is needed.
+        """
         with self._lock:
-            if self._closing:
-                try:
-                    worker.conn.send({"kind": "shutdown"})
-                except OSError:
-                    pass
-                return False
-            task = self._pop_task(worker.lane, now)
-            if task is None:
-                if self._remaining == 0:
+            while True:
+                if self._closing or self._remaining == 0:
                     try:
                         worker.conn.send({"kind": "shutdown"})
                     except OSError:
                         pass
                     return False
-                try:
-                    worker.conn.send(
-                        {"kind": "idle", "retry_after": self._retry_after(now)}
-                    )
-                except OSError:
-                    pass
-                return True
-            lease = _Lease(task, worker.name, now, self.lease_seconds)
-            self._leases[task.fingerprint] = lease
+                now = monotonic()
+                task = self._pop_task(worker.lane, now)
+                if task is not None:
+                    break
+                if any(self._lanes):
+                    # Queued cells are backing off: come back when the
+                    # earliest is eligible.
+                    try:
+                        worker.conn.send(
+                            {"kind": "idle", "retry_after": self._retry_after(now)}
+                        )
+                    except OSError:
+                        pass
+                    return True
+                self._done.wait(timeout=0.25)
+            lease = _Lease(
+                task, worker.name, now, self.lease_seconds, self.policy.cell_timeout
+            )
+            self._leases[task.index] = lease
             cell, graphs = strip_cell(task.cell, worker.shipped)
         message = {
             "kind": "lease",
+            "index": task.index,
             "cell": cell,
             "graphs": graphs,
             "fingerprint": task.fingerprint,
@@ -541,9 +591,9 @@ class Coordinator:
         except OSError:
             # The connection died under us; its cleanup path requeues.
             with self._lock:
-                if self._leases.get(task.fingerprint) is lease:
-                    del self._leases[task.fingerprint]
-                    self._lanes[task.lane].appendleft(task)
+                if self._leases.get(task.index) is lease:
+                    del self._leases[task.index]
+                    self._requeue(task, front=True)
             return True
         _events.emit(
             "lease_granted",
@@ -560,19 +610,19 @@ class Coordinator:
     # ------------------------------------------------------------------
     # message handlers
     # ------------------------------------------------------------------
-    def _take_lease(self, worker: _WorkerState, fingerprint: str) -> _Lease | None:
+    def _take_lease(self, worker: _WorkerState, index: Any) -> _Lease | None:
         with self._lock:
-            lease = self._leases.get(fingerprint)
+            lease = self._leases.get(index)
             if lease is None or lease.worker != worker.name:
                 return None  # expired (and possibly re-leased); stale reply
-            del self._leases[fingerprint]
+            del self._leases[index]
             return lease
 
     def _on_complete(self, worker: _WorkerState, message: dict[str, Any]) -> None:
-        fingerprint = str(message.get("fingerprint"))
-        lease = self._take_lease(worker, fingerprint)
+        index = message.get("index")
+        lease = self._take_lease(worker, index)
         if lease is None:
-            self._ack(worker, fingerprint, duplicate=True)
+            self._ack(worker, index, duplicate=True)
             return
         task = lease.task
         entry = self.cache.get(task.cache_fingerprint or task.fingerprint)
@@ -586,16 +636,12 @@ class Coordinator:
                 f"result is unreadable in the shared cache"
             )
             self._charge(task, exc, float(message.get("seconds", 0.0)))
-            self._ack(worker, fingerprint)
+            self._ack(worker, index)
             return
         seconds = float(message.get("seconds", entry.seconds))
         with self._lock:
-            self.outcomes[task.index] = entry.result
-            self.stats.completed += 1
-            self.note(f"cell[{task.cell.key}]", seconds)
-            self._remaining -= 1
-            if not self._remaining:
-                self._done.notify_all()
+            self._record_outcome(task, entry.result, seconds)
+            self._finish_one()
         _events.emit(
             "lease_completed",
             cell=task.cell.key,
@@ -605,24 +651,22 @@ class Coordinator:
             seconds=seconds,
             lease_age=monotonic() - lease.granted,
         )
-        self._ack(worker, fingerprint)
+        self._ack(worker, index)
 
     def _on_failed(self, worker: _WorkerState, message: dict[str, Any]) -> None:
-        fingerprint = str(message.get("fingerprint"))
-        lease = self._take_lease(worker, fingerprint)
+        index = message.get("index")
+        lease = self._take_lease(worker, index)
         if lease is not None:
             self._charge(
                 lease.task,
                 _remote_exception(message),
                 float(message.get("seconds", 0.0)),
             )
-        self._ack(worker, fingerprint, duplicate=lease is None)
+        self._ack(worker, index, duplicate=lease is None)
 
-    def _ack(self, worker: _WorkerState, fingerprint: str, duplicate=False) -> None:
+    def _ack(self, worker: _WorkerState, index: Any, duplicate=False) -> None:
         try:
-            worker.conn.send(
-                {"kind": "ack", "fingerprint": fingerprint, "duplicate": duplicate}
-            )
+            worker.conn.send({"kind": "ack", "index": index, "duplicate": duplicate})
         except OSError:
             pass
 
@@ -633,7 +677,7 @@ class Coordinator:
                 if lease.worker == worker.name:
                     lease.expires = now + self.lease_seconds
 
-    def _charge(self, task: _LeaseTask, exc: BaseException, elapsed: float) -> None:
+    def _charge(self, task: _CellRun, exc: BaseException, elapsed: float) -> None:
         """One failed attempt through the shared engine accounting."""
         with self._lock:
             retried = record_attempt_failure(
@@ -647,29 +691,26 @@ class Coordinator:
                 label=self.label,
             )
             if retried:
-                self._lanes[task.lane].append(task)
+                self._requeue(task)
             else:
-                self._remaining -= 1
-                if not self._remaining:
-                    self._done.notify_all()
+                self._finish_one()
 
     def _release_worker(self, worker: _WorkerState, *, clean: bool) -> None:
         """Drop a departed worker; requeue its leases without charging.
 
         A vanished worker (SIGKILL, OOM, network) surfaces as EOF here
-        well before its leases expire; mirroring the engine's broken-
-        pool path, the in-flight cells go back to the queue uncharged —
-        retries are for *cell* failures, crash recovery is free.  (A
-        worker that hangs without dying keeps its connection; that case
-        is the expiry monitor's.)
+        well before its leases expire; the in-flight cells go back to
+        the queue uncharged — retries are for *cell* failures, crash
+        recovery is free.  (A worker that hangs without dying keeps its
+        connection; that case is the expiry monitor's.)
         """
         with self._lock:
             self._workers.pop(worker.name, None)
             requeued = []
-            for fingerprint, lease in list(self._leases.items()):
+            for index, lease in list(self._leases.items()):
                 if lease.worker == worker.name:
-                    del self._leases[fingerprint]
-                    self._lanes[lease.task.lane].appendleft(lease.task)
+                    del self._leases[index]
+                    self._requeue(lease.task, front=True)
                     requeued.append(lease.task.cell.key)
             closing = self._closing
         if clean and not requeued:
@@ -691,25 +732,48 @@ class Coordinator:
         )
 
     # ------------------------------------------------------------------
-    # lease expiry
+    # lease expiry and cell deadlines
     # ------------------------------------------------------------------
     def _expiry_loop(self) -> None:
-        interval = min(max(self.lease_seconds / 4.0, 0.02), 0.5)
+        interval = min(self.lease_seconds / 4.0, 0.5)
+        if self.policy.cell_timeout is not None:
+            interval = min(interval, self.policy.cell_timeout / 4.0)
+        interval = max(interval, 0.01)
         while True:
             with self._lock:
                 if self._closing or (self._remaining == 0 and not self._leases):
                     return
+                self._done.wait(interval)  # the sweep's end or close wakes it
             self._expire_leases()
-            time.sleep(interval)
 
     def _expire_leases(self) -> None:
         now = monotonic()
+        overrun: list[_Lease] = []
         expired: list[_Lease] = []
         with self._lock:
-            for fingerprint, lease in list(self._leases.items()):
-                if now >= lease.expires:
-                    del self._leases[fingerprint]
+            for index, lease in list(self._leases.items()):
+                if lease.deadline is not None and now >= lease.deadline:
+                    overrun.append(lease)
+                elif now >= lease.expires:
                     expired.append(lease)
+                else:
+                    continue
+                del self._leases[index]
+        for lease in overrun:
+            self._charge(
+                lease.task,
+                CellTimeoutError(
+                    f"cell [{lease.task.cell.key!r}] exceeded its "
+                    f"{self.policy.cell_timeout:g}s deadline"
+                ),
+                now - lease.granted,
+            )
+            # The worker is still busy on the cell (and heartbeating):
+            # the fleet terminates and replaces it (take_wedged).
+            with self._lock:
+                worker = self._workers.get(lease.worker)
+                if worker is not None and worker.pid:
+                    self._wedged.append(worker.pid)
         for lease in expired:
             task = lease.task
             _events.emit(
@@ -721,8 +785,8 @@ class Coordinator:
                 lease_age=now - lease.granted,
             )
             # An expired lease is a hung (or hopelessly slow) worker:
-            # charged exactly like a pool cell that overran its
-            # deadline, feeding the same retry/backoff machinery.
+            # charged exactly like a cell that overran its deadline,
+            # feeding the same retry/backoff machinery.
             self._charge(
                 task,
                 CellTimeoutError(

@@ -24,17 +24,26 @@ thread only, so request/reply ordering needs no correlation ids.
 
 from __future__ import annotations
 
+import argparse
 import pickle
 import socket
 import struct
 import threading
 from typing import Any
 
-__all__ = ["PROTOCOL_VERSION", "Connection", "FrameError", "parse_endpoint"]
+__all__ = [
+    "PROTOCOL_VERSION",
+    "Connection",
+    "FrameError",
+    "endpoint_argument",
+    "parse_endpoint",
+]
 
 #: Bumped when the frame or message vocabulary changes incompatibly;
-#: checked in the hello/welcome handshake.
-PROTOCOL_VERSION = 1
+#: checked in the hello/welcome handshake.  2: leases, ``complete``,
+#: ``failed`` and ``ack`` name the cell by submission ``index``, and
+#: ``failed`` carries the pickled exception.
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct("!Q")
 
@@ -61,6 +70,15 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     if not 0 <= port <= 65535:
         raise ValueError(f"port {port} out of range in {text!r}")
     return host, port
+
+
+def endpoint_argument(text: str) -> tuple[str, int]:
+    """:func:`parse_endpoint` as an argparse ``type`` (``--bind``), so a
+    bad value is reported with its reason."""
+    try:
+        return parse_endpoint(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:

@@ -1,35 +1,39 @@
 """Fleet worker: dial a coordinator, lease cells, write results to the
 shared cache.
 
-One worker is one process (``repro-pb worker`` or a process spawned by
-:class:`repro.cluster.DistributedExecutor`) running a strict
-request/reply loop over one :class:`~repro.cluster.wire.Connection`:
+One worker is one process (``repro-pb worker``, or one of the local
+processes every pooled sweep starts, :func:`repro.cluster.executor.
+run_fleet`) running a strict request/reply loop over one
+:class:`~repro.cluster.wire.Connection`:
 
 1. ``hello`` → ``welcome`` — protocol check; the welcome carries the
    shared cache directory, the fault plan, and the heartbeat cadence;
 2. ``lease_request`` → ``lease`` / ``idle`` / ``shutdown``;
 3. execute the leased cell through the *same*
-   :func:`repro.parallel.resilience._attempt_cell` the pool workers
-   use — fault injection, spans, and the ``cell_started`` /
+   :func:`repro.parallel.resilience._attempt_cell` a serial sweep uses
+   — fault injection, spans, and the ``cell_started`` /
    ``cell_finished`` events all behave identically;
 4. write the result into the shared
    :class:`~repro.harness.cache.MeasurementCache` (atomic rename), then
-   ``complete`` → ``ack`` carrying only the fingerprint — the data
-   plane never rides the socket;
-5. on a cell exception: ``failed`` → ``ack`` with the classified error.
+   ``complete`` → ``ack`` carrying only the lease's submission index —
+   the data plane never rides the socket;
+5. on a cell exception: ``failed`` → ``ack``, carrying the pickled
+   exception and its traceback (type name and message alone when the
+   exception does not pickle).
 
-Telemetry reuses the whole pool-worker machinery: :func:`repro.obs.
-events.worker_init` accepts anything with ``put(message)``, so
-:class:`_SocketChannel` adapts the connection and the worker's events,
-span buffers, and resource samples stream to the coordinator framed as
-``event`` messages.  A daemon heartbeat thread renews the worker's
-leases; killing the process (or its host) silences the heartbeat and
-the coordinator recovers the cell through lease expiry.
+Telemetry: :func:`repro.obs.events.worker_init` accepts anything with
+``put(message)``, so :class:`_SocketChannel` adapts the connection and
+the worker's events, span buffers, and resource samples stream to the
+coordinator framed as ``event`` messages — the one route worker
+telemetry takes to the parent.  A daemon heartbeat thread renews the
+worker's leases; killing the process (or its host) silences the
+heartbeat and the coordinator recovers the cell through lease expiry.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import socket as socket_module
 import threading
 import time
@@ -40,13 +44,8 @@ from repro.cluster.shipping import resolve_cell
 from repro.cluster.wire import PROTOCOL_VERSION, Connection, FrameError
 from repro.obs import events as _events
 from repro.obs.log import get_logger
-from repro.parallel.faults import (
-    FaultPlan,
-    InjectedCrash,
-    InjectedTimeout,
-    is_corrupt,
-)
-from repro.parallel.resilience import _attempt_cell
+from repro.parallel.faults import FaultPlan, is_corrupt
+from repro.parallel.resilience import CorruptResultError, _attempt_cell
 
 __all__ = ["run_worker", "WorkerError"]
 
@@ -67,12 +66,22 @@ class _SocketChannel:
         self._conn.send({"kind": "event", "message": message})
 
 
-def _classify(exc: BaseException) -> str:
-    if isinstance(exc, InjectedCrash):
-        return "injected_crash"
-    if isinstance(exc, InjectedTimeout):
-        return "injected_timeout"
-    return "error"
+def _failure_report(exc: BaseException) -> dict[str, Any]:
+    """A ``failed`` frame's payload for the exception being handled: the
+    pickled exception when it survives a round trip, its type name,
+    message and traceback in any case."""
+    report: dict[str, Any] = {
+        "error": type(exc).__name__,
+        "message": str(exc),
+        "traceback": traceback.format_exc(),
+    }
+    try:
+        blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.loads(blob)
+    except Exception:  # noqa: BLE001 — the coordinator falls back
+        return report
+    report["exception"] = blob
+    return report
 
 
 def _heartbeat_loop(conn: Connection, interval: float, stop: threading.Event) -> None:
@@ -137,8 +146,8 @@ def run_worker(
         plan_text = welcome.get("fault_plan")
         fault_plan = FaultPlan.from_string(plan_text) if plan_text else None
 
-        # The full pool-worker telemetry stack, over the socket instead
-        # of a manager queue; also announces worker_spawned.
+        # Worker telemetry rides this socket; also announces
+        # worker_spawned.
         _events.worker_init(_SocketChannel(conn))
         heartbeat = threading.Thread(
             target=_heartbeat_loop,
@@ -180,6 +189,7 @@ def run_worker(
             if kind != "lease":
                 continue
             idle_since = None
+            index = reply["index"]
             fingerprint = str(reply["fingerprint"])
             cache_fingerprint = reply.get("cache_fingerprint") or fingerprint
             attempt = int(reply.get("attempt", 0))
@@ -188,36 +198,15 @@ def run_worker(
             try:
                 result, seconds = _attempt_cell(cell, attempt, fault_plan, fingerprint)
                 if is_corrupt(result):
-                    conn.send(
-                        {
-                            "kind": "failed",
-                            "fingerprint": fingerprint,
-                            "error_kind": "corrupt",
-                            "error": "CorruptResultError",
-                            "message": f"cell [{cell.key!r}] returned a corrupt result",
-                            "seconds": seconds,
-                        }
+                    raise CorruptResultError(
+                        f"cell [{cell.key!r}] returned a corrupt result"
                     )
-                else:
-                    cache.put(cache_fingerprint, result, seconds)
-                    conn.send(
-                        {
-                            "kind": "complete",
-                            "fingerprint": fingerprint,
-                            "seconds": seconds,
-                        }
-                    )
+                cache.put(cache_fingerprint, result, seconds)
+                conn.send({"kind": "complete", "index": index, "seconds": seconds})
             except Exception as exc:  # noqa: BLE001 — every cell error reports
                 conn.send(
-                    {
-                        "kind": "failed",
-                        "fingerprint": fingerprint,
-                        "error_kind": _classify(exc),
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                        "traceback": traceback.format_exc(),
-                        "seconds": 0.0,
-                    }
+                    {"kind": "failed", "index": index, "seconds": 0.0,
+                     **_failure_report(exc)}
                 )
             ack = conn.recv()
             if ack is None:
@@ -240,10 +229,21 @@ def run_worker(
 
 
 def spawned_main(host: str, port: int, cache_dir: str | None) -> None:
-    """Entry point for executor-spawned worker processes."""
+    """Entry point of a local fleet worker process.
+
+    A forked worker inherits the parent's span recorder and event bus;
+    both are dropped (worker telemetry goes over the socket), and so is
+    SIGINT: the parent owns an interrupted run and terminates its
+    workers itself.
+    """
+    import signal
     import sys
 
+    from repro.obs import spans
     from repro.obs.log import configure
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    spans.disable()
+    _events.uninstall()
     configure(0)  # warnings only; the parent owns the console
     sys.exit(run_worker(host, port, cache_dir=cache_dir))

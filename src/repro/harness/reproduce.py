@@ -23,16 +23,17 @@ Options::
                         and any later run (any artifact subset) reuses
                         them, so rerunning after a crash resumes where
                         it stopped; outputs are byte-identical either way
+    --workers N         run the plan's cells on N local worker processes
+                        leased by a coordinator (1 = serial in-process,
+                        0 = one per CPU)
     --max-retries N     retry failed sweep cells N times (default 2)
-    --cell-timeout S    per-cell wall-clock deadline, pool mode only
+    --cell-timeout S    per-cell wall-clock deadline, --workers >= 2 only
     --inject-faults P   deterministic fault plan (test hook), e.g.
                         "seed=7,rate=0.3,kinds=crash|timeout|corrupt"
-    --distribute N      lease cells to a socket worker fleet instead of
-                        the in-process pool: spawn N local workers
-                        (0 = external only: repro-pb worker --connect)
-    --bind HOST:PORT    with --distribute: coordinator listen address
-                        (default 127.0.0.1:0)
-    --lease-timeout S   with --distribute: silent-worker lease expiry
+    --bind HOST:PORT    with --workers >= 2: coordinator listen address
+                        (default 127.0.0.1:0; a fixed port lets external
+                        `repro-pb worker --connect` processes join)
+    --lease-timeout S   with --workers >= 2: silent-worker lease expiry
                         (expired cells are charged a timeout and
                         re-leased; default 30)
     --report PATH       write a schema-versioned RunReport of the run
@@ -71,6 +72,7 @@ from repro.harness.figures import (
     figure11_spec,
 )
 from repro.harness.tables import table1_spec, table2_spec, table3_spec
+from repro.cluster.wire import endpoint_argument
 from repro.memsim import DEFAULT_ENGINE, ENGINES
 from repro.obs.events import EventBus
 from repro.obs.events import collecting as collecting_events
@@ -149,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="process-parallel sweep workers for the plan's cells "
-        "(1 = serial, 0 = one per CPU); outputs are identical either way",
+        help="worker processes for the plan's cells, leased by a local "
+        "coordinator (1 = serial in-process, 0 = one per CPU); outputs "
+        "are identical either way",
     )
     parser.add_argument(
         "--cache",
@@ -174,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-cell wall-clock deadline (enforced in --workers >= 2 "
-        "pool mode; an overrun cell is retried)",
+        help="per-cell wall-clock deadline (enforced with --workers >= 2; "
+        "an overrun cell's worker is replaced and the cell retried)",
     )
     parser.add_argument(
         "--inject-faults",
@@ -186,29 +189,21 @@ def build_parser() -> argparse.ArgumentParser:
         "(also honoured from the REPRO_FAULT_PLAN environment variable)",
     )
     parser.add_argument(
-        "--distribute",
-        type=int,
-        default=None,
-        metavar="N",
-        help="lease the plan's cells to a socket worker fleet instead "
-        "of the in-process pool: spawn N local worker processes (0 = "
-        "spawn none; attach external ones with `repro-pb worker "
-        "--connect`); outputs are byte-identical to a serial run",
-    )
-    parser.add_argument(
         "--bind",
         metavar="HOST:PORT",
+        type=endpoint_argument,
         default="127.0.0.1:0",
-        help="with --distribute: coordinator listen address (default "
-        "127.0.0.1:0 — loopback, ephemeral port; see docs/distributed.md "
-        "before binding wider)",
+        help="with --workers >= 2: coordinator listen address (default "
+        "127.0.0.1:0 — loopback, ephemeral port; a fixed port lets "
+        "external `repro-pb worker --connect` processes join; see "
+        "docs/distributed.md before binding wider)",
     )
     parser.add_argument(
         "--lease-timeout",
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="with --distribute: how long a silent worker may hold a "
+        help="with --workers >= 2: how long a silent worker may hold a "
         "cell before its lease expires and the cell is re-leased "
         "(default 30)",
     )
@@ -318,6 +313,8 @@ def _sweep_options(args: argparse.Namespace) -> SweepOptions:
         ),
         fault_plan=fault_plan,
         stats=SweepStats(),
+        bind=args.bind,
+        lease_seconds=args.lease_timeout,
     )
 
 
@@ -350,7 +347,6 @@ def _write_run_report(
                 "max_retries": args.max_retries,
                 "cell_timeout": args.cell_timeout,
                 "fault_plan": args.inject_faults,
-                "distribute": args.distribute,
                 "completed": completed,
             },
         ),
@@ -404,9 +400,6 @@ def main(argv: list[str] | None = None) -> int:
                         "rerun with --cache DIR to make progress durable "
                         "across failures"
                     )
-    # The engine drained the worker queue before returning; this final
-    # pump only matters when it aborted mid-sweep.
-    bus.pump()
     if renderer is not None:
         renderer.finish()
     fleet = bus.fleet_summary()
@@ -414,7 +407,6 @@ def main(argv: list[str] | None = None) -> int:
         bus.merge_into_trace(tracer)
         tracer.save(args.trace)
         log.info("wrote fleet trace %s", args.trace)
-    bus.close()
     _write_run_report(
         args, scale, wanted, options, holder["plan"], rec.as_dict(),
         completed=failure is None, fleet=fleet,
@@ -444,25 +436,7 @@ def _generate(
         plan.dedup_ratio,
     )
     cache = MeasurementCache(args.cache) if args.cache else None
-    executor = None
-    if args.distribute is not None:
-        from repro.cluster import DistributedExecutor, parse_endpoint
-
-        if args.distribute < 0:
-            raise SystemExit("--distribute must be >= 0")
-        try:
-            bind = parse_endpoint(args.bind)
-        except ValueError as exc:
-            raise SystemExit(f"--bind: {exc}") from None
-        executor = DistributedExecutor(
-            spawn_workers=args.distribute,
-            bind=bind,
-            lease_seconds=args.lease_timeout,
-        )
-    results = execute_plan(
-        plan, workers=args.workers, options=options, cache=cache,
-        executor=executor,
-    )
+    results = execute_plan(plan, workers=args.workers, options=options, cache=cache)
     if cache is not None:
         log.info(
             "cache: %d hit(s), %d cell(s) executed",

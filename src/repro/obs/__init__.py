@@ -14,9 +14,9 @@ counters, :mod:`repro.obs` is the *recording* substrate around them —
   (``--trace out.json``);
 * :mod:`repro.obs.events` — the fleet flight recorder: schema-versioned
   lifecycle events and resource samples emitted by sweep worker
-  processes over a multiprocessing queue, collected parent-side into a
-  merged per-worker Chrome trace, the report's ``fleet`` section, and a
-  live progress feed;
+  processes over their coordinator connections, collected parent-side
+  into a merged per-worker Chrome trace, the report's ``fleet`` section,
+  and a live progress feed;
 * :mod:`repro.obs.progress` — renderer over the event stream (live
   TTY line / plain CI lines / off) behind ``reproduce``/``plan``;
 * :mod:`repro.obs.metrics` — histogram/time-series registry that memsim

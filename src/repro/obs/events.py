@@ -1,35 +1,35 @@
 """Cross-process event bus: the fleet flight recorder.
 
 Spans (:mod:`repro.obs.spans`) and traces (:mod:`repro.obs.trace`) record
-what happens *in this process* — but since the sweep engine moved cells
-into ``ProcessPool`` workers, the interesting lifecycle (per-cell spans,
-retries, faults, resource pressure) happens in child processes where the
-parent's recorder cannot see it.  This module closes that gap with a
-schema-versioned structured event stream:
+what happens *in this process* — but pooled sweeps run their cells in
+worker processes where the parent's recorder cannot see them.  This
+module closes that gap with a schema-versioned structured event stream:
 
 * **worker processes** emit lifecycle events (``cell_started`` /
   ``cell_finished`` / ``worker_spawned``) and periodic resource samples
-  (RSS and CPU time via :mod:`resource` / ``/proc``) over a
-  ``multiprocessing`` manager queue installed by the pool initializer;
+  (RSS and CPU time via :mod:`resource` / ``/proc``) through the channel
+  :func:`worker_init` installs — in practice their coordinator
+  connection, framed as ``event`` messages (:mod:`repro.cluster.worker`),
+  the one route worker telemetry takes to the parent;
 * the **parent** emits the events only it can know about
   (``cell_retried`` / ``cell_timeout`` / ``cell_faulted`` /
-  ``cache_hit`` / ``worker_replaced`` / ``plan_started``) directly
-  into the same stream;
+  ``cache_hit`` / ``worker_replaced`` / ``plan_started`` and the lease
+  lifecycle) directly into the same stream;
 * an :class:`EventBus` collects both sides, assigns a global arrival
   order, estimates per-worker clock offsets, notifies subscribers (the
-  live progress renderer), merges worker-side span trees into a
-  :class:`~repro.obs.trace.TraceRecorder` as per-worker tracks, and
-  folds everything into the ``fleet`` section of a run report
-  (schema 1.4, ``docs/metrics_schema.md``).
+  live progress renderer) one event at a time, merges worker-side span
+  trees into a :class:`~repro.obs.trace.TraceRecorder` as per-worker
+  tracks, and folds everything into the ``fleet`` section of a run
+  report (``docs/metrics_schema.md``).
 
-Arrival order is **causal per cell**: the engine drains the queue before
-it reacts to a completed attempt, and a worker's ``put`` completes
-before its future resolves, so ``cell_started`` always precedes the
-parent's ``cell_faulted``/``cell_retried`` for the same attempt, which
-precede the next attempt's ``cell_started``.  (A *real* wall-clock
-timeout is the one exception: the abandoned worker may deliver a late
-``cell_finished`` after the parent moved on, which is why terminal cell
-accounting dedups by fingerprint.)
+Arrival order is **causal per cell**: a worker sends an attempt's
+events on its connection ahead of the attempt's ``complete``/``failed``
+frame, and the coordinator handles one connection's frames in order, so
+``cell_started`` always precedes the parent's
+``cell_faulted``/``cell_retried`` for the same attempt, which precede
+the next attempt's ``cell_started``.  (A cell that overruns its
+deadline is the one exception: its replaced worker never finishes it.
+Terminal cell accounting dedups by fingerprint all the same.)
 
 When no bus is installed, :func:`emit` is a no-op after one global read
 — the same disabled-fast-path contract as spans and traces, so the
@@ -39,7 +39,6 @@ instrumentation lives permanently in the sweep engine.
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
@@ -91,8 +90,8 @@ EVENT_KINDS = (
     "cell_timeout",        # parent: an attempt overran its deadline
     "cell_faulted",        # parent: an attempt failed (crash/corrupt)
     "cache_hit",           # parent: a cell was satisfied from the cache
-    "worker_spawned",      # worker: a pool worker came up
-    "worker_replaced",     # parent: a pool was restarted or replaced
+    "worker_spawned",      # worker: a worker process came up
+    "worker_replaced",     # parent: a dead or wedged worker was replaced
     "resource_sample",     # worker: periodic RSS / CPU-time sample
     "affinity_assigned",   # coordinator: cells grouped into worker lanes
     "serve_request",       # server: one PPR query accepted (hit or miss)
@@ -175,7 +174,7 @@ class Event:
 
     ``ts`` is the emitter's ``perf_counter`` reading; ``adjusted_ts``
     maps it onto the parent clock using the per-worker offset estimate
-    (minimum observed queue latency).  ``index`` is the global arrival
+    (minimum observed transport latency).  ``index`` is the global arrival
     order — causal per cell, see the module docstring.
     """
 
@@ -232,27 +231,21 @@ def _message(
 class EventBus:
     """Collects the fleet's event stream in the parent process.
 
-    The bus is also the parent's emitter (``bus.emit``) and, through
-    :func:`channel`, the factory of the queue proxy worker processes
-    write to.  ``pump()`` drains that queue — the resilient engine calls
-    it at every scheduling step, which is what makes arrival order
-    causal (see module docstring).
+    The bus is also the parent's emitter (``bus.emit``); worker events
+    arrive through :meth:`ingest`.  Ingestion assigns the arrival index
+    and calls the subscribers under one re-entrant delivery lock, so
+    subscribers see events one at a time, in index order, even when
+    several coordinator connections deliver at once (and may emit from
+    inside a callback).
     """
 
-    #: Seconds between forced queue drains while the engine is waiting
-    #: on cell completions; also the default worker sample interval.
-    pump_interval = 0.25
-
-    def __init__(self, *, sample_interval: float = 0.5) -> None:
-        self.sample_interval = sample_interval
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
         self._events: list[Event] = []
         self._subscribers: list[Callable[[Event], None]] = []
         self._seq = 0
         self._dropped = 0
         self._offsets: dict[str, float] = {MAIN_WORKER: 0.0}
-        self._manager = None
-        self._queue = None
 
     # ------------------------------------------------------------------
     # emission (parent side)
@@ -274,65 +267,14 @@ class EventBus:
         self._ingest(message)
 
     # ------------------------------------------------------------------
-    # the worker channel
-    # ------------------------------------------------------------------
-    def channel(self):
-        """The queue proxy workers write to (created lazily).
-
-        A ``multiprocessing.Manager`` queue rather than a raw
-        ``multiprocessing.Queue`` because the proxy pickles, so it can
-        ride through ``ProcessPoolExecutor`` initializer args under any
-        start method.
-        """
-        if self._queue is None:
-            import multiprocessing
-
-            self._manager = multiprocessing.Manager()
-            self._queue = self._manager.Queue()
-        return self._queue
-
-    def worker_initializer(self) -> tuple[Callable, tuple]:
-        """``(initializer, initargs)`` for a pool feeding this bus."""
-        return worker_init, (self.channel(), self.sample_interval)
-
-    def pump(self) -> int:
-        """Drain every queued worker message; return how many arrived."""
-        if self._queue is None:
-            return 0
-        drained = 0
-        while True:
-            try:
-                message = self._queue.get_nowait()
-            except queue_module.Empty:
-                break
-            except (OSError, EOFError, BrokenPipeError):
-                break  # manager is gone; nothing more will arrive
-            self._ingest(message)
-            drained += 1
-        return drained
-
-    def close(self) -> None:
-        """Drain once more, then shut the manager process down."""
-        self.pump()
-        if self._manager is not None:
-            try:
-                self._manager.shutdown()
-            except Exception:  # noqa: BLE001 — already-dead manager is fine
-                pass
-            self._manager = None
-            self._queue = None
-
-    # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
     def ingest(self, message: dict[str, Any]) -> None:
-        """Ingest one wire-form message from an out-of-band transport.
+        """Ingest one wire-form message from a worker.
 
-        The pool path delivers worker messages through the manager
-        queue (:meth:`pump`); the cluster coordinator receives them
-        framed over its sockets and forwards them here, so a fleet
-        worker's telemetry lands in the same stream with the same
-        schema/versioning rules.
+        The cluster coordinator receives worker messages framed over its
+        sockets and forwards them here, so a worker's telemetry lands in
+        the same stream with the same schema/versioning rules.
         """
         self._ingest(message)
 
@@ -355,7 +297,7 @@ class EventBus:
         )
         with self._lock:
             # Clock alignment: the smallest observed (arrival - ts) gap
-            # bounds the worker clock offset from above by one queue
+            # bounds the worker clock offset from above by one transport
             # latency; on Linux both clocks are CLOCK_MONOTONIC so the
             # estimate converges to ~0.
             gap = arrival - event.ts
@@ -364,12 +306,11 @@ class EventBus:
                 self._offsets[event.worker] = gap
             event.index = len(self._events)
             self._events.append(event)
-            subscribers = list(self._subscribers)
-        for subscriber in subscribers:
-            try:
-                subscriber(event)
-            except Exception:  # noqa: BLE001 — a bad subscriber must not
-                pass  # take down the sweep engine's dispatch loop
+            for subscriber in list(self._subscribers):
+                try:
+                    subscriber(event)
+                except Exception:  # noqa: BLE001 — a bad subscriber must not
+                    pass  # take down the sweep's scheduling threads
 
     # ------------------------------------------------------------------
     # consumption
@@ -500,7 +441,7 @@ class EventBus:
                         float(resources.get("cpu_seconds", 0.0)),
                     )
         # A cell that failed some attempts but eventually succeeded (or
-        # was re-run after a pool replacement) is not a failed cell.
+        # was re-run after a worker replacement) is not a failed cell.
         failed -= executed | cached
         total = len(executed) + len(cached)
         return {
@@ -628,10 +569,10 @@ _bus: EventBus | None = None
 class _WorkerChannel:
     """Worker-side emitter state installed by :func:`worker_init`."""
 
-    __slots__ = ("queue", "name", "seq", "span_buffer", "counter_buffer")
+    __slots__ = ("transport", "name", "seq", "span_buffer", "counter_buffer")
 
-    def __init__(self, queue, name: str) -> None:
-        self.queue = queue
+    def __init__(self, transport, name: str) -> None:
+        self.transport = transport
         self.name = name
         self.seq = 0
         self.span_buffer: list[tuple[str, float, float]] = []
@@ -650,8 +591,8 @@ class _WorkerChannel:
         )
         self.seq += 1
         try:
-            self.queue.put(message)
-        except Exception:  # noqa: BLE001 — a dead manager must not kill cells
+            self.transport.put(message)
+        except Exception:  # noqa: BLE001 — a lost parent must not kill cells
             pass
 
 
@@ -676,7 +617,7 @@ def current_bus() -> EventBus | None:
 
 
 def in_worker() -> bool:
-    """Whether this process is a pool worker feeding a remote bus."""
+    """Whether this process is a worker feeding a remote bus."""
     return _worker_channel is not None
 
 
@@ -712,7 +653,7 @@ def emit(
 ) -> None:
     """Emit one event to wherever this process reports (or nowhere).
 
-    In a pool worker: onto the queue installed by :func:`worker_init`.
+    In a worker: onto the channel installed by :func:`worker_init`.
     In a parent with an installed bus: directly into the bus.  With
     neither: a no-op after two global reads.
     """
@@ -789,17 +730,19 @@ def _resource_sampler(channel: _WorkerChannel, interval: float) -> None:
         channel.send("resource_sample", payload={"resources": resource_snapshot()})
 
 
-def worker_init(channel_queue, sample_interval: float = 0.5) -> None:
-    """Pool-worker initializer: connect this process to the event bus.
+def worker_init(transport, sample_interval: float = 0.5) -> None:
+    """Connect this worker process to the parent's event bus.
 
-    Installs the worker channel, announces ``worker_spawned``, routes
-    completed spans into the per-cell buffer, and starts the periodic
-    resource sampler (daemon thread — it dies with the worker).  Never
-    raises: a telemetry failure must not break the pool.
+    ``transport`` is anything with ``put(message)`` (a fleet worker's
+    coordinator connection).  Installs the worker channel, announces
+    ``worker_spawned``, routes completed spans into the per-cell buffer,
+    and starts the periodic resource sampler (daemon thread — it dies
+    with the worker).  Never raises: a telemetry failure must not break
+    the worker.
     """
     global _worker_channel
     try:
-        channel = _WorkerChannel(channel_queue, f"pid{os.getpid()}")
+        channel = _WorkerChannel(transport, f"pid{os.getpid()}")
         _worker_channel = channel
         from repro.obs import spans
 
@@ -823,7 +766,7 @@ def worker_init(channel_queue, sample_interval: float = 0.5) -> None:
 def worker_deinit() -> None:
     """Undo :func:`worker_init`: detach this process from worker mode.
 
-    A pool worker never needs this (the process exits), but a fleet
+    A worker process never needs this (it exits), but a fleet
     worker hosted on a thread — tests do this — must restore the
     process to parent-side routing when its connection ends, or every
     later :func:`emit` in the process writes into a dead channel.

@@ -160,7 +160,7 @@ class ProgressRenderer:
         if self.failed:
             parts.append(f"{self.failed} failed")
         if self.replacements:
-            parts.append(f"{self.replacements} pool replacement(s)")
+            parts.append(f"{self.replacements} worker replacement(s)")
         eta = self.eta_seconds()
         if eta is not None:
             parts.append(f"eta {eta:.0f}s")

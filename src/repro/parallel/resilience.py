@@ -1,26 +1,28 @@
 """Fault-tolerant execution engine behind :func:`repro.parallel.sweep.run_cells`.
 
 A figure sweep is a long, embarrassingly-parallel measurement campaign;
-before this module a single worker crash, poisoned result, or stuck cell
-forfeited the whole run.  The engine here executes sweep cells with:
+a single worker crash, poisoned result, or stuck cell must not forfeit
+the whole run.  Serial sweeps run here, in-process; pooled sweeps
+(``workers >= 2``) lease their cells to local worker processes through
+the fleet coordinator (:func:`repro.cluster.executor.run_fleet`), which
+shares this module's accounting.  Either way cells get:
 
 * **per-cell retry with deterministic exponential backoff** — a failed
-  attempt is rescheduled up to ``max_retries`` times, sleeping
+  attempt is rescheduled up to ``max_retries`` times, waiting
   ``backoff_base * backoff_factor**attempt`` seconds between attempts
   (jitterless: delays are a pure function of the attempt number, so a
   rerun schedules identically);
-* **per-cell wall-clock timeouts** (process-pool mode) — submissions are
-  throttled to the worker count so a deadline measures execution, not
-  queueing; a cell past its deadline is charged a failed attempt and
-  rescheduled, and if its worker cannot be preempted the pool is
-  replaced so a non-terminating cell never wedges the sweep;
-* **graceful pool degradation** — a ``BrokenProcessPool`` (worker died)
-  restarts the pool up to ``max_pool_restarts`` times, then falls back
-  to in-process serial execution for the remaining cells;
-* **result recording** — an optional ``record(fingerprint, result,
-  seconds)`` callback sees every completed cell as it finishes (the
-  plan layer writes it into the measurement cache, so an interrupted
-  run resumes by being rerun against the same cache);
+* **per-cell wall-clock deadlines** (pooled runs) — a lease's deadline
+  starts when the cell is granted to an idle worker, so it measures
+  execution, not queueing; a cell past its deadline is charged a failed
+  attempt and its worker is replaced, so a non-terminating cell never
+  wedges the sweep;
+* **worker-death recovery** — a dead worker's cells are requeued
+  uncharged and the worker is respawned up to ``max_pool_restarts``
+  times, after which the remaining cells run in-process, serially;
+* **cache writes where the cell ran** — with a ``cache``, the process
+  that executed a cell stores its result, so an interrupted run
+  resumes by being rerun against the same cache;
 * **deterministic fault injection** — an explicit
   :class:`~repro.parallel.faults.FaultPlan` (or one from the
   ``REPRO_FAULT_PLAN`` environment variable) wraps every attempt, which
@@ -28,25 +30,21 @@ forfeited the whole run.  The engine here executes sweep cells with:
 * **failure attribution** — a cell that exhausts its retries raises
   :class:`CellFailedError` naming the cell key and chaining the original
   exception (with the worker traceback), *after* every other cell has
-  been given the chance to finish (and be recorded).  No hung pools,
+  been given the chance to finish (and be cached).  No hung workers,
   no anonymous tracebacks.
 
 Results are bit-identical to a fault-free serial run whenever retries
 recover, because cells are deterministic functions of their arguments
-and the engine folds results by submission order, never completion
-order.  Retry activity is observable: spans
-(``sweep[label]/retry[key]``), trace counter samples
-(``sweep_resilience``), and a :class:`SweepStats` summary that lands in
-the ``resilience`` section of run reports.
+and results fold by submission order, never completion order.  Retry
+activity is observable: spans (``sweep[label]/retry[key]``), trace
+counter samples (``sweep_resilience``), and a :class:`SweepStats`
+summary that lands in the ``resilience`` section of run reports.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import monotonic, perf_counter
 from typing import Any, Callable
@@ -75,9 +73,16 @@ __all__ = [
     "default_workers",
     "resolve_policy",
     "record_attempt_failure",
+    "DEFAULT_BIND",
+    "DEFAULT_LEASE_SECONDS",
 ]
 
 log = get_logger("parallel.resilience")
+
+#: Where a pooled sweep's coordinator listens: loopback, ephemeral port.
+DEFAULT_BIND = ("127.0.0.1", 0)
+#: How long a silent worker may hold a leased cell (seconds).
+DEFAULT_LEASE_SECONDS = 30.0
 
 
 def default_workers() -> int:
@@ -120,7 +125,7 @@ class CorruptResultError(FaultInjected):
 
 
 class CellTimeoutError(RuntimeError):
-    """A cell overran its wall-clock deadline (pool mode)."""
+    """A cell overran its wall-clock deadline or its worker went silent."""
 
 
 @dataclass(frozen=True)
@@ -132,11 +137,11 @@ class RetryPolicy:
     ``backoff_base * backoff_factor**attempt`` seconds after the
     ``attempt``-th failure (0-based); the default base of 0 disables
     sleeping entirely, which is right for in-process simulation cells.
-    ``cell_timeout`` (seconds) is enforced in process-pool mode only —
-    an in-process cell cannot be preempted.  A timed-out cell whose
-    worker will not stop costs a pool replacement (its remaining healthy
-    workers are terminated and their cells requeued), so set it well
-    above the slowest legitimate cell.
+    ``cell_timeout`` (seconds) is enforced in pooled runs only — an
+    in-process cell cannot be preempted.  A timed-out cell costs its
+    worker process (terminated and replaced), so set it well above the
+    slowest legitimate cell.  ``max_pool_restarts`` bounds how many dead
+    workers a pooled sweep respawns before it finishes serially.
     """
 
     max_retries: int = 2
@@ -209,19 +214,24 @@ class SweepOptions:
     """Bundle of resilience settings threaded through the figure sweeps.
 
     ``stats`` accumulates across every sweep of a reproduce run so the
-    final report shows one total.
+    final report shows one total.  ``bind`` and ``lease_seconds`` set
+    the coordinator of pooled runs (its listen address, and how long a
+    silent worker may hold a cell).
     """
 
     policy: RetryPolicy | None = None
     fault_plan: FaultPlan | None = None
     stats: SweepStats | None = None
+    bind: tuple[str, int] = DEFAULT_BIND
+    lease_seconds: float = DEFAULT_LEASE_SECONDS
 
 
 # ----------------------------------------------------------------------
-# worker-side attempt (module-level: must pickle by reference)
+# one attempt, in whichever process runs the cell
 # ----------------------------------------------------------------------
 def _attempt_cell(cell, attempt: int, plan: FaultPlan | None, fingerprint: str):
-    """Run one attempt of one cell, honouring the fault plan."""
+    """Run one attempt of one cell, honouring the fault plan (serial
+    sweeps call this in the parent, fleet workers in their process)."""
     # Spans left over from a previous failed attempt on this worker would
     # otherwise be attributed to this cell's finish event.
     _events.drain_worker_buffers()
@@ -276,9 +286,9 @@ def record_attempt_failure(
 ) -> bool:
     """Count one failed attempt of ``run``; return True if it will retry.
 
-    The single source of truth for failure accounting, shared by the
-    in-process engine (:class:`_Engine`) and the cluster coordinator
-    (:mod:`repro.cluster.coordinator`): emits the ``cell_faulted`` /
+    The single source of truth for failure accounting, shared by serial
+    sweeps and the fleet coordinator (:mod:`repro.cluster.coordinator`):
+    emits the ``cell_faulted`` /
     ``cell_timeout`` / ``cell_retried`` events, bumps the
     :class:`SweepStats` counters, records the deterministic backoff in
     ``run.not_before`` (never slept here — callers keep dispatching),
@@ -323,9 +333,9 @@ def record_attempt_failure(
             type(exc).__name__,
             exc,
         )
-        # Backoff is recorded, never slept here: in pool mode this runs
-        # on the dispatcher thread, which must keep servicing the other
-        # cells' completions and deadlines while one cell backs off.
+        # Backoff is recorded, never slept here: in a pooled run this
+        # runs on a coordinator thread, which must keep servicing the
+        # other cells' completions and deadlines while one cell backs off.
         run.not_before = monotonic() + policy.delay(run.attempt)
         run.attempt += 1
         return True
@@ -343,390 +353,101 @@ def record_attempt_failure(
 
 
 class _CellRun:
-    """Mutable scheduling state of one cell across its attempts."""
+    """Mutable scheduling state of one cell across its attempts.
 
-    __slots__ = ("index", "cell", "fingerprint", "attempt", "deadline", "not_before")
+    ``cache_fingerprint`` is the content fingerprint the result is
+    cached under (``None``: the sweep fingerprint itself); ``lane`` is
+    the fleet's affinity lane.
+    """
 
-    def __init__(self, index: int, cell, fingerprint: str) -> None:
+    __slots__ = (
+        "index", "cell", "fingerprint", "cache_fingerprint", "attempt",
+        "not_before", "lane",
+    )
+
+    def __init__(
+        self, index: int, cell, fingerprint: str, cache_fingerprint: str | None = None
+    ) -> None:
         self.index = index
         self.cell = cell
         self.fingerprint = fingerprint
+        self.cache_fingerprint = cache_fingerprint
         self.attempt = 0
-        self.deadline: float | None = None
         self.not_before = 0.0  # monotonic() before which a retry must not start
+        self.lane = 0
 
 
-class _FifoQueue:
-    """Ready queue in submission order; a retried run rejoins at the back."""
-
-    def __init__(self, runs: list[_CellRun]) -> None:
-        self._queue: deque[_CellRun] = deque(runs)
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def pop_eligible(self, now: float) -> _CellRun | None:
-        """Next run whose backoff has expired, or ``None``."""
-        for _ in range(len(self._queue)):
-            run = self._queue.popleft()
-            if run.not_before <= now:
-                return run
-            self._queue.append(run)
-        return None
-
-    def push(self, run: _CellRun) -> None:
-        self._queue.append(run)
-
-    def push_front(self, run: _CellRun) -> None:
-        self._queue.appendleft(run)
-
-    def backoff_times(self) -> list[float]:
-        return [run.not_before for run in self._queue if run.not_before > 0.0]
-
-    def min_not_before(self) -> float:
-        return min(run.not_before for run in self._queue)
-
-    def drain(self) -> list[_CellRun]:
-        runs = list(self._queue)
-        self._queue.clear()
-        return runs
-
-
-class _Engine:
-    """One resilient sweep execution (single use)."""
-
-    def __init__(
-        self,
-        cells: list,
-        *,
-        workers: int | None,
-        label: str,
-        policy: RetryPolicy | None,
-        fault_plan: FaultPlan | None,
-        record: Callable[[str, Any, float], None] | None,
-        stats: SweepStats | None,
-        note: Callable[[str, float], None],
-    ) -> None:
-        self.cells = cells
-        self.label = label
-        self.plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
-        self.policy = resolve_policy(policy, self.plan)
-        self.record = record
-        self.stats = stats if stats is not None else SweepStats()
-        self.note = note
-        if workers == 0:
-            workers = default_workers()
-        self.workers = workers or 1
-        self.outcomes: dict[int, Any] = {}
-        self.failures: list[tuple[_CellRun, BaseException]] = []
-
-    # ------------------------------------------------------------------
-    def run(self) -> dict[Any, Any]:
-        self.stats.cells += len(self.cells)
-        runs = [
-            _CellRun(
-                index, cell, cell_fingerprint(cell.fn, cell.key, cell.args, cell.kwargs)
-            )
-            for index, cell in enumerate(self.cells)
-        ]
-
-        nworkers = min(self.workers, len(runs)) if runs else 1
-        if nworkers <= 1:
-            self._run_serial(runs)
-        else:
-            self._run_pool(runs, nworkers)
-
-        # Workers enqueue an attempt's events before its future resolves
-        # (a manager-queue put is a synchronous RPC), so one drain here
-        # leaves the bus complete and causally ordered for this sweep.
-        bus = _events.current_bus()
-        if bus is not None:
-            bus.pump()
-
-        counter_sample(
-            "sweep_resilience",
-            {
-                "retries": float(self.stats.retries),
-                "completed": float(self.stats.completed),
-            },
+def cell_runs(
+    cells: list, result_fingerprints: dict[str, str] | None = None
+) -> list[_CellRun]:
+    """One :class:`_CellRun` per cell, in submission order."""
+    cache_fingerprints = result_fingerprints or {}
+    runs = []
+    for index, cell in enumerate(cells):
+        fingerprint = cell_fingerprint(cell.fn, cell.key, cell.args, cell.kwargs)
+        runs.append(
+            _CellRun(index, cell, fingerprint, cache_fingerprints.get(fingerprint))
         )
-        if self.failures:
-            first_run, first_exc = self.failures[0]
-            raise CellFailedError(
-                first_run.cell.key,
-                first_run.attempt + 1,
-                first_exc,
-                also_failed=[run.cell.key for run, _ in self.failures[1:]],
-            ) from first_exc
-        # Submission order, never completion order: with duplicate keys the
-        # last-submitted cell wins, exactly as a serial loop would have it.
-        return {
-            cell.key: self.outcomes[index]
-            for index, cell in enumerate(self.cells)
-            if index in self.outcomes
-        }
+    return runs
 
-    # ------------------------------------------------------------------
-    def _complete(self, run: _CellRun, result: Any, seconds: float) -> None:
-        self.outcomes[run.index] = result
-        self.stats.completed += 1
-        self.note(f"cell[{run.cell.key}]", seconds)
-        if self.record is not None:
-            self.record(run.fingerprint, result, seconds)
 
-    def _record_failure(self, run: _CellRun, exc: BaseException, elapsed: float) -> bool:
-        """Count one failed attempt; return True if the cell will retry."""
-        return record_attempt_failure(
-            run,
-            exc,
-            elapsed,
-            policy=self.policy,
-            stats=self.stats,
-            note=self.note,
-            failures=self.failures,
-            label=self.label,
-        )
+def run_serial(
+    runs: list[_CellRun],
+    plan: FaultPlan | None,
+    *,
+    complete: Callable[[_CellRun, Any, float], None],
+    fail: Callable[[_CellRun, BaseException, float], bool],
+) -> None:
+    """Attempt each run in-process until it completes or ``fail`` gives up.
 
-    # ------------------------------------------------------------------
-    def _run_serial(self, runs: list[_CellRun]) -> None:
-        for run in runs:
-            while True:
-                pause = run.not_before - monotonic()
-                if pause > 0.0:
-                    time.sleep(pause)
-                start = perf_counter()
-                try:
-                    result, seconds = _attempt_cell(
-                        run.cell, run.attempt, self.plan, run.fingerprint
-                    )
-                    if is_corrupt(result):
-                        raise CorruptResultError(
-                            f"cell [{run.cell.key!r}] returned a corrupt result"
-                        )
-                except Exception as exc:  # noqa: BLE001 — every cell error retries
-                    if self._record_failure(run, exc, perf_counter() - start):
-                        continue
-                    break
-                self._complete(run, result, seconds)
-                break
-
-    # ------------------------------------------------------------------
-    def _new_pool(self, nworkers: int) -> ProcessPoolExecutor:
-        """A worker pool, wired to the event bus when one is collecting."""
-        bus = _events.current_bus()
-        if bus is not None:
-            initializer, initargs = bus.worker_initializer()
-            return ProcessPoolExecutor(
-                max_workers=nworkers, initializer=initializer, initargs=initargs
-            )
-        return ProcessPoolExecutor(max_workers=nworkers)
-
-    def _run_pool(self, runs: list[_CellRun], nworkers: int) -> None:
-        log.debug(
-            "%s: %d cells across %d workers", self.label, len(runs), nworkers
-        )
-        bus = _events.current_bus()
-        pool = self._new_pool(nworkers)
-        restarts_left = self.policy.max_pool_restarts
-        ready = _FifoQueue(runs)
-        pending: dict[Future, tuple[_CellRun, float]] = {}
-        try:
-            while len(ready) or pending:
-                broken = False
-
-                # Throttled submission: at most one in-flight future per
-                # worker, so a submitted cell starts executing immediately
-                # and its deadline measures execution, not time spent queued
-                # behind other cells.  Runs still inside their backoff window
-                # are held back until ``not_before`` passes.
-                now = monotonic()
-                while len(ready) and len(pending) < nworkers:
-                    run = ready.pop_eligible(now)
-                    if run is None:  # everything left is backing off
-                        break
-                    try:
-                        future = pool.submit(
-                            _attempt_cell,
-                            run.cell,
-                            run.attempt,
-                            self.plan,
-                            run.fingerprint,
-                        )
-                    except BrokenProcessPool:
-                        # The pool died between completions; route this the
-                        # same way as a broken in-flight future.
-                        ready.push_front(run)
-                        broken = True
-                        break
-                    started = monotonic()
-                    if self.policy.cell_timeout is not None:
-                        run.deadline = started + self.policy.cell_timeout
-                    pending[future] = (run, started)
-
-                if not broken and not pending:
-                    # Every remaining cell is backing off; sleep until the
-                    # earliest becomes eligible.
-                    wake = ready.min_not_before()
-                    time.sleep(max(0.0, wake - monotonic()))
-                    continue
-
-                if not broken:
-                    # Wake for the earliest cell deadline, or — when there is
-                    # spare worker capacity — the earliest backoff expiry.
-                    wake_times = [
-                        run.deadline
-                        for run, _ in pending.values()
-                        if run.deadline is not None
-                    ]
-                    if len(pending) < nworkers:
-                        wake_times += ready.backoff_times()
-                    wait_timeout = (
-                        max(0.0, min(wake_times) - monotonic()) if wake_times else None
-                    )
-                    if bus is not None:
-                        # Wake periodically so queued worker events reach
-                        # subscribers (the live progress renderer) while
-                        # long cells are still running.
-                        cap = bus.pump_interval
-                        wait_timeout = (
-                            cap if wait_timeout is None else min(wait_timeout, cap)
-                        )
-                    done, _ = wait(
-                        set(pending), timeout=wait_timeout, return_when=FIRST_COMPLETED
-                    )
-                    if bus is not None:
-                        # Drain *before* reacting to completions: a worker's
-                        # events are enqueued before its future resolves, so
-                        # this keeps arrival order causal per cell (started
-                        # precedes the parent's faulted/retried verdict).
-                        bus.pump()
-
-                    for future in done:
-                        run, started = pending.pop(future)
-                        elapsed = monotonic() - started
-                        exc = future.exception()
-                        if isinstance(exc, BrokenProcessPool):
-                            # Worker death kills every in-flight future;
-                            # requeue this run and let the pool-level
-                            # handling below deal with the rest.
-                            ready.push_front(run)
-                            broken = True
-                            continue
-                        if exc is not None:
-                            if self._record_failure(run, exc, elapsed):
-                                ready.push(run)
-                            continue
-                        result, seconds = future.result()
-                        if is_corrupt(result):
-                            corrupt = CorruptResultError(
-                                f"cell [{run.cell.key!r}] returned a corrupt result"
-                            )
-                            if self._record_failure(run, corrupt, elapsed):
-                                ready.push(run)
-                            continue
-                        self._complete(run, result, seconds)
-
-                if broken:
-                    # Move every other in-flight run back to the queue; their
-                    # futures are dead with the pool.
-                    for run, _ in pending.values():
-                        ready.push(run)
-                    pending.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    self.stats.pool_restarts += 1
-                    if bus is not None:
-                        # The manager outlives the pool: events the dead
-                        # workers managed to enqueue are still collectable.
-                        bus.pump()
-                    if restarts_left > 0:
-                        restarts_left -= 1
-                        log.warning(
-                            "%s: worker pool died; restarting (%d restart(s) left)",
-                            self.label,
-                            restarts_left,
-                        )
-                        _events.emit(
-                            "worker_replaced",
-                            reason="broken_pool",
-                            requeued=len(ready),
-                        )
-                        pool = self._new_pool(nworkers)
-                        continue
-                    log.warning(
-                        "%s: worker pool died repeatedly; degrading to "
-                        "in-process serial execution for %d remaining cell(s)",
-                        self.label,
-                        len(ready),
-                    )
-                    self.stats.serial_fallback = True
-                    self._run_serial(ready.drain())
-                    return
-
-                # Deadline sweep: charge overrun cells a failed attempt and
-                # reschedule.  A future that cannot be cancelled is being
-                # executed by a worker we have no way to preempt — the pool
-                # must be replaced to reclaim that slot, or a single hung
-                # cell would wedge the sweep (and the final shutdown).
-                hung = False
-                if self.policy.cell_timeout is not None:
-                    now = monotonic()
-                    for future, (run, started) in list(pending.items()):
-                        if run.deadline is not None and now >= run.deadline:
-                            pending.pop(future)
-                            timeout_exc = CellTimeoutError(
-                                f"cell [{run.cell.key!r}] exceeded its "
-                                f"{self.policy.cell_timeout:g}s deadline"
-                            )
-                            if self._record_failure(run, timeout_exc, now - started):
-                                ready.push(run)
-                            if not future.cancel():
-                                hung = True
-                if hung:
-                    # Healthy in-flight runs die with the abandoned pool;
-                    # requeue them without charging an attempt (mirroring
-                    # the broken-pool path).  Replacement is not counted
-                    # against max_pool_restarts: each replacement charges
-                    # the overrun cell an attempt, so retries bound it.
-                    for run, _ in pending.values():
-                        ready.push(run)
-                    pending.clear()
-                    if bus is not None:
-                        # Collect everything the wedged pool's workers
-                        # enqueued before they are terminated — nothing
-                        # already sent is lost with the replacement.
-                        bus.pump()
-                    self._abandon_pool(pool)
-                    self.stats.pool_restarts += 1
-                    log.warning(
-                        "%s: replacing worker pool wedged by a timed-out cell",
-                        self.label,
-                    )
-                    _events.emit(
-                        "worker_replaced", reason="wedged", requeued=len(ready)
-                    )
-                    pool = self._new_pool(nworkers)
-        finally:
-            # Never wait=True: if anything above raised while a worker was
-            # stuck on a cell, joining it would hang the whole engine.
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    @staticmethod
-    def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-        """Free a pool wedged by a non-terminating cell without joining it.
-
-        ``shutdown(wait=True)`` would block on the hung worker forever, so
-        the pool is shut down unjoined and its worker processes terminated
-        best-effort.  ``_processes`` is CPython's internal worker map; if a
-        future version hides it the processes leak until their cells return,
-        which is still better than a hung sweep.
-        """
-        pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
+    Shared by serial sweeps and the fleet's serial fallback; ``fail``
+    is the caller's :func:`record_attempt_failure` binding.
+    """
+    for run in runs:
+        while True:
+            pause = run.not_before - monotonic()
+            if pause > 0.0:
+                time.sleep(pause)
+            start = perf_counter()
             try:
-                proc.terminate()
-            except Exception:  # noqa: BLE001 — already-dead workers are fine
-                pass
+                result, seconds = _attempt_cell(
+                    run.cell, run.attempt, plan, run.fingerprint
+                )
+                if is_corrupt(result):
+                    raise CorruptResultError(
+                        f"cell [{run.cell.key!r}] returned a corrupt result"
+                    )
+            except Exception as exc:  # noqa: BLE001 — every cell error retries
+                if fail(run, exc, perf_counter() - start):
+                    continue
+                break
+            complete(run, result, seconds)
+            break
+
+
+def fold_results(
+    cells: list, outcomes: dict[int, Any], failures: list
+) -> dict[Any, Any]:
+    """``{cell.key: result}`` in submission order, or raise.
+
+    :class:`CellFailedError` names the first permanently failed cell and
+    chains its cause.  Submission order, never completion order: with
+    duplicate keys the last-submitted cell wins, exactly as a serial
+    loop would have it.
+    """
+    if failures:
+        first_run, first_exc = failures[0]
+        raise CellFailedError(
+            first_run.cell.key,
+            first_run.attempt + 1,
+            first_exc,
+            also_failed=[run.cell.key for run, _ in failures[1:]],
+        ) from first_exc
+    return {
+        cell.key: outcomes[index]
+        for index, cell in enumerate(cells)
+        if index in outcomes
+    }
 
 
 def execute_cells(
@@ -736,8 +457,11 @@ def execute_cells(
     label: str = "sweep",
     policy: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    record: Callable[[str, Any, float], None] | None = None,
     stats: SweepStats | None = None,
+    cache=None,
+    result_fingerprints: dict[str, str] | None = None,
+    bind: tuple[str, int] = DEFAULT_BIND,
+    lease_seconds: float = DEFAULT_LEASE_SECONDS,
 ) -> dict[Any, Any]:
     """Run sweep cells resiliently and return ``{cell.key: result}``.
 
@@ -753,14 +477,51 @@ def execute_cells(
             if recorder is not None:
                 recorder.record(f"{prefix}{name}", seconds)
 
-        engine = _Engine(
-            cells,
-            workers=workers,
-            label=label,
-            policy=policy,
-            fault_plan=fault_plan,
-            record=record,
-            stats=stats,
-            note=note,
-        )
-        return engine.run()
+        plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
+        policy = resolve_policy(policy, plan)
+        stats = stats if stats is not None else SweepStats()
+        if workers == 0:
+            workers = default_workers()
+        nworkers = min(workers or 1, len(cells))
+        try:
+            if nworkers >= 2:
+                from repro.cluster.executor import run_fleet
+
+                return run_fleet(
+                    cells,
+                    workers=nworkers,
+                    label=label,
+                    policy=policy,
+                    fault_plan=plan,
+                    stats=stats,
+                    note=note,
+                    cache=cache,
+                    result_fingerprints=result_fingerprints,
+                    bind=bind,
+                    lease_seconds=lease_seconds,
+                )
+            stats.cells += len(cells)
+            runs = cell_runs(cells, result_fingerprints)
+            outcomes: dict[int, Any] = {}
+            failures: list[tuple[_CellRun, BaseException]] = []
+
+            def complete(run: _CellRun, result: Any, seconds: float) -> None:
+                outcomes[run.index] = result
+                stats.completed += 1
+                note(f"cell[{run.cell.key}]", seconds)
+                if cache is not None:
+                    cache.put(run.cache_fingerprint or run.fingerprint, result, seconds)
+
+            def fail(run: _CellRun, exc: BaseException, elapsed: float) -> bool:
+                return record_attempt_failure(
+                    run, exc, elapsed, policy=policy, stats=stats, note=note,
+                    failures=failures, label=label,
+                )
+
+            run_serial(runs, plan, complete=complete, fail=fail)
+            return fold_results(cells, outcomes, failures)
+        finally:
+            counter_sample(
+                "sweep_resilience",
+                {"retries": float(stats.retries), "completed": float(stats.completed)},
+            )

@@ -18,8 +18,8 @@ that sharing structural instead of ad hoc:
   (each unique cell appears once, with every requester recorded);
 * :func:`~repro.plan.executor.execute_plan` — runs the compiled plan
   through the fault-tolerant sweep stack
-  (:func:`repro.parallel.sweep.run_cells`: retries, timeouts,
-  process pools) exactly once per unique cell, warm-starting from an
+  (:func:`repro.parallel.sweep.run_cells`: retries, deadlines, local
+  worker processes) exactly once per unique cell, warm-starting from an
   optional content-addressed result cache
   (:class:`repro.harness.cache.MeasurementCache`), and fans results
   back out to per-artifact views.
@@ -27,12 +27,7 @@ that sharing structural instead of ad hoc:
 
 from repro.plan.compiler import CompiledPlan, PlanStats, compile_plan
 from repro.plan.executor import PlanResults, execute_plan
-from repro.plan.executors import (
-    ExecutionRequest,
-    Executor,
-    LocalExecutor,
-    make_executor,
-)
+from repro.plan.executors import ExecutionRequest, LocalExecutor
 from repro.plan.spec import Cell, ExperimentSpec
 
 __all__ = [
@@ -44,7 +39,5 @@ __all__ = [
     "PlanResults",
     "execute_plan",
     "ExecutionRequest",
-    "Executor",
     "LocalExecutor",
-    "make_executor",
 ]

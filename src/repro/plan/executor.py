@@ -8,19 +8,17 @@ figure, table, bench, and ``reproduce`` run now performs measurement:
    practice :class:`repro.harness.cache.MeasurementCache`).  Hits skip
    execution entirely — a warm rerun of the whole suite executes zero
    cells.
-2. **one executor dispatch** — the misses run through a pluggable
-   :class:`~repro.plan.executors.Executor` (default
+2. **one sweep** — the misses run through
    :class:`~repro.plan.executors.LocalExecutor`: a single
    :func:`repro.parallel.sweep.run_cells` sweep inheriting the whole
-   resilience stack — process pools, retry with backoff, per-cell
-   timeouts, fault injection; alternatively
-   :class:`repro.cluster.DistributedExecutor`, which leases the same
-   cells to a socket-connected worker fleet).  Each unique cell
-   executes exactly once per plan, keyed by its readable
-   first-requester label.
+   resilience stack — serial in-process, or leased to local worker
+   processes for ``workers >= 2``; retry with backoff, per-cell
+   deadlines, fault injection.  Each unique cell executes exactly once
+   per plan, keyed by its readable first-requester label.
 3. **cache write-back** — completed cells are written into the cache
-   as they finish, so an interrupted run resumes by being rerun
-   against the same cache: step 1 skips everything it finished.
+   as they finish, by the process that ran them, so an interrupted run
+   resumes by being rerun against the same cache: step 1 skips
+   everything it finished.
 4. **fan-out** — :meth:`PlanResults.artifact` resolves any spec's local
    keys against the shared result pool and calls its ``build``.
 
@@ -40,7 +38,7 @@ from repro.obs.spans import current_recorder, span
 from repro.parallel.resilience import SweepOptions
 from repro.parallel.sweep import SweepCell
 from repro.plan.compiler import CompiledPlan, PlanStats
-from repro.plan.executors import ExecutionRequest, Executor, LocalExecutor
+from repro.plan.executors import ExecutionRequest, LocalExecutor
 from repro.utils.fingerprint import cell_fingerprint
 
 __all__ = ["PlanResults", "execute_plan"]
@@ -77,24 +75,22 @@ def execute_plan(
     options: SweepOptions | None = None,
     cache=None,
     label: str = "plan",
-    executor: Executor | None = None,
 ) -> PlanResults:
     """Execute every unique cell of ``plan`` once and return the results.
 
     ``workers``/``options`` carry the sweep stack's knobs exactly as
-    :func:`repro.parallel.sweep.run_cells` understands them.
+    :func:`repro.parallel.sweep.run_cells` understands them
+    (``workers >= 2`` leases the cells to local worker processes).
     ``cache`` is an optional content-addressed result store with
     ``get(fingerprint) -> entry | None`` (entry carries ``result`` and
     ``seconds``) and ``put(fingerprint, result, seconds)``; rerunning an
     interrupted plan against the same cache executes only the cells it
-    had not finished.
+    had not finished.  Pooled workers write into the cache's
+    ``directory`` (a :class:`repro.harness.cache.MeasurementCache`); a
+    cache without one is written by serial runs only.
 
-    ``executor`` selects *how* the cache-miss cells run: ``None`` (the
-    default) uses :class:`~repro.plan.executors.LocalExecutor`, the
-    historical in-process pool path; a
-    :class:`repro.cluster.DistributedExecutor` leases the same cells to
-    a socket-connected worker fleet instead.  Fingerprints, cache
-    entries, and artifacts are identical across executors.
+    Fingerprints, cache entries, and artifacts are identical for every
+    worker count.
 
     A failing cell propagates :class:`repro.parallel.resilience.
     CellFailedError` after the other cells finish; everything completed
@@ -168,9 +164,11 @@ def execute_plan(
                 stats=sweep_stats,
                 cache=cache,
                 result_fingerprints=plan_fp_for,
+                bind=options.bind,
+                lease_seconds=options.lease_seconds,
             )
             try:
-                outcomes = (executor or LocalExecutor()).run(request)
+                outcomes = LocalExecutor().run(request)
             finally:
                 # Count execution even when a cell failed permanently: the
                 # run report's plan section must reflect the work that DID

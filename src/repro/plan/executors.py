@@ -1,63 +1,46 @@
-"""Executor protocol: *how* a plan's cells run, as a pluggable seam.
+"""How a plan's cache-miss cells run: :class:`LocalExecutor`.
 
 :func:`repro.plan.executor.execute_plan` owns the plan-level concerns —
-cache partition, stats accounting, result fan-out — and delegates the
-actual running of the cache-miss cells to an :class:`Executor`.  Two
-implementations exist:
+cache partition, stats accounting, result fan-out — and hands the
+actual running of the cache-miss cells to :class:`LocalExecutor`: one
+resilient :func:`repro.parallel.sweep.run_cells` sweep (serial
+in-process, or leased to local worker processes for ``workers >= 2``;
+retries, deadlines, fault injection), with every completed result
+written into the cache by the process that computed it.  Fingerprints,
+caches, events, and artifacts are the same for every worker count.
 
-* :class:`LocalExecutor` — the historical in-process path: one resilient
-  :func:`repro.parallel.sweep.run_cells` sweep (process pools, retries,
-  timeouts, fault injection), with every cell carrying its graph by
-  value and every completed result written into the cache as it
-  finishes.  This is the default and is bit-identical to the
-  pre-protocol inline code: fingerprints, caches, events, and artifacts
-  are unchanged.
-* :class:`repro.cluster.DistributedExecutor` — a socket-based worker
-  fleet (coordinator leases cells by fingerprint, workers write results
-  through the shared :class:`repro.harness.cache.MeasurementCache`),
-  registered lazily under the name ``"distributed"``.
-
-The seam is deliberately narrow: an executor receives one
+The seam is deliberately narrow: the executor receives one
 :class:`ExecutionRequest` — the miss cells in submission order plus the
-sweep stack's knobs — and must return ``{cell.key: result}`` with the
-same semantics :func:`~repro.parallel.sweep.run_cells` guarantees
+sweep stack's knobs — and returns ``{cell.key: result}`` with the
+semantics :func:`~repro.parallel.sweep.run_cells` guarantees
 (submission-order folding, :class:`~repro.parallel.resilience.
 CellFailedError` raised only after every other cell had its chance).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
-from repro.parallel.resilience import SweepStats
+from repro.parallel.resilience import DEFAULT_BIND, DEFAULT_LEASE_SECONDS, SweepStats
 from repro.parallel.sweep import SweepCell, run_cells
 
-__all__ = [
-    "ExecutionRequest",
-    "Executor",
-    "LocalExecutor",
-    "EXECUTORS",
-    "make_executor",
-]
+__all__ = ["ExecutionRequest", "LocalExecutor"]
 
 
 @dataclass
 class ExecutionRequest:
-    """Everything an executor needs to run one plan's miss cells.
+    """Everything the executor needs to run one plan's miss cells.
 
-    ``cells`` are in submission order; the returned dict must fold by
-    that order (last duplicate key wins), exactly like
+    ``cells`` are in submission order; the returned dict folds by that
+    order (last duplicate key wins), exactly like
     :func:`repro.parallel.sweep.run_cells`.
 
     ``cache`` is the plan's content-addressed result store (or ``None``)
     and ``result_fingerprints`` maps each cell's *sweep* fingerprint
     (function + key + args) to the *content* fingerprint (function +
-    args) its result is cached under.  The local path writes results in
-    the parent through :meth:`record`; a distributed executor hands both
-    to remote workers, which write results straight into the shared
-    cache directory.
+    args) its result is cached under.  ``bind``/``lease_seconds`` set
+    the coordinator of a pooled run.
     """
 
     cells: list[SweepCell]
@@ -68,72 +51,29 @@ class ExecutionRequest:
     stats: SweepStats | None = None
     cache: Any = None
     result_fingerprints: dict[str, str] = field(default_factory=dict)
-
-    def record(self, fingerprint: str, result: Any, seconds: float) -> None:
-        """Write one completed cell into :attr:`cache` (no-op without one)."""
-        if self.cache is not None:
-            self.cache.put(
-                self.result_fingerprints.get(fingerprint, fingerprint), result, seconds
-            )
+    bind: tuple[str, int] = DEFAULT_BIND
+    lease_seconds: float = DEFAULT_LEASE_SECONDS
 
 
-class Executor(ABC):
-    """One way of running sweep cells.  Stateless across plans."""
+class LocalExecutor:
+    """Run a plan's miss cells through one :func:`run_cells` sweep."""
 
-    #: Registry name (``repro-pb``'s ``--executor`` vocabulary).
-    name = "abstract"
-
-    @abstractmethod
     def run(self, request: ExecutionRequest) -> dict[Any, Any]:
         """Run every cell of ``request`` and return ``{cell.key: result}``.
 
-        Must raise :class:`repro.parallel.resilience.CellFailedError`
-        when a cell exhausts its retries — after letting every other
-        cell finish (whatever completed must already be in the cache).
+        Raises :class:`repro.parallel.resilience.CellFailedError` when a
+        cell exhausts its retries — after letting every other cell
+        finish (whatever completed is already in the cache).
         """
-
-
-class LocalExecutor(Executor):
-    """The in-process pool path, extracted verbatim from ``execute_plan``.
-
-    The cells run through one :func:`repro.parallel.sweep.run_cells`
-    call, inheriting the whole resilience stack; pooled cells carry
-    their graphs by value through the pool's pickle pipe.
-    """
-
-    name = "local"
-
-    def run(self, request: ExecutionRequest) -> dict[Any, Any]:
         return run_cells(
             request.cells,
             workers=request.workers,
             label=request.label,
             policy=request.policy,
             fault_plan=request.fault_plan,
-            record=request.record,
             stats=request.stats,
+            cache=request.cache,
+            result_fingerprints=request.result_fingerprints,
+            bind=request.bind,
+            lease_seconds=request.lease_seconds,
         )
-
-
-def _make_distributed(**kwargs: Any) -> Executor:
-    from repro.cluster import DistributedExecutor
-
-    return DistributedExecutor(**kwargs)
-
-
-#: Executor factories by registry name.  ``"distributed"`` imports the
-#: cluster package lazily so the plan layer stays import-light.
-EXECUTORS: dict[str, Callable[..., Executor]] = {
-    "local": LocalExecutor,
-    "distributed": _make_distributed,
-}
-
-
-def make_executor(name: str, **kwargs: Any) -> Executor:
-    """Instantiate a registered executor by name."""
-    try:
-        factory = EXECUTORS[name]
-    except KeyError:
-        known = ", ".join(sorted(EXECUTORS))
-        raise ValueError(f"unknown executor {name!r} (known: {known})") from None
-    return factory(**kwargs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 
 
@@ -32,3 +33,19 @@ def die_in_worker(x):
     if multiprocessing.parent_process() is not None:
         os._exit(3)
     return x * x
+
+
+def boom(x):
+    raise RuntimeError(f"cell {x} failed")
+
+
+class Unpicklable(Exception):
+    """An exception that cannot cross a process boundary (holds a lock)."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def raise_unpicklable(x):
+    raise Unpicklable(f"cell {x} cannot cross")

@@ -85,7 +85,6 @@ def test_threaded_worker_completes_everything(tmp_path):
         assert coordinator.result() == EXPECTED
         coordinator.close()
         thread.join(timeout=5.0)
-    bus.pump()
     kinds = [event.kind for event in bus.events()]
     assert kinds.count("worker_joined") == 1
     assert kinds.count("lease_granted") == len(EXPECTED)
@@ -95,7 +94,6 @@ def test_threaded_worker_completes_everything(tmp_path):
     assert cluster["leases"] == {
         "granted": len(EXPECTED), "expired": 0, "completed": len(EXPECTED)
     }
-    bus.close()
 
 
 def test_matches_serial_run_cells(tmp_path):
@@ -175,10 +173,8 @@ def test_silent_worker_lease_expires_and_cell_is_re_leased(tmp_path):
         rogue.close()
         coordinator.close()
         thread.join(timeout=5.0)
-    bus.pump()
     kinds = [event.kind for event in bus.events()]
     assert "lease_expired" in kinds
-    bus.close()
 
 
 def test_vanished_worker_requeues_without_charging(tmp_path):
@@ -203,10 +199,8 @@ def test_vanished_worker_requeues_without_charging(tmp_path):
         assert stats.timeouts == 0
         coordinator.close()
         thread.join(timeout=5.0)
-    bus.pump()
     lost = [event for event in bus.events() if event.kind == "worker_lost"]
     assert len(lost) == 1
-    bus.close()
 
 
 def test_duplicate_complete_is_acked_and_ignored(tmp_path):
@@ -217,12 +211,12 @@ def test_duplicate_complete_is_acked_and_ignored(tmp_path):
     lease = client.lease()
     cache.put(lease["fingerprint"], 0, 0.01)
     client.conn.send(
-        {"kind": "complete", "fingerprint": lease["fingerprint"], "seconds": 0.01}
+        {"kind": "complete", "index": lease["index"], "seconds": 0.01}
     )
     first = client.conn.recv()
     assert first["kind"] == "ack" and not first["duplicate"]
     client.conn.send(
-        {"kind": "complete", "fingerprint": lease["fingerprint"], "seconds": 0.01}
+        {"kind": "complete", "index": lease["index"], "seconds": 0.01}
     )
     second = client.conn.recv()
     assert second["kind"] == "ack" and second["duplicate"]
@@ -246,7 +240,7 @@ def test_unreadable_result_is_charged_as_failed_attempt(tmp_path):
     lease = client.lease()
     # Claim success without ever writing the shared cache.
     client.conn.send(
-        {"kind": "complete", "fingerprint": lease["fingerprint"], "seconds": 0.01}
+        {"kind": "complete", "index": lease["index"], "seconds": 0.01}
     )
     client.conn.recv()
     deadline = time.monotonic() + 10.0

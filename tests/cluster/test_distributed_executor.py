@@ -1,46 +1,50 @@
-"""End-to-end ``DistributedExecutor`` tests: real spawned worker
-processes, shared-cache data plane, and degradation to serial."""
+"""End-to-end pooled-run tests: real local worker processes leased by
+the coordinator, shared-cache data plane, and degradation to serial."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro.cluster import DistributedExecutor
+from repro.cluster import RemoteCellError
 from repro.harness.cache import MeasurementCache
 from repro.obs.events import EventBus, collecting
-from repro.parallel import SweepCell, SweepStats, run_cells
+from repro.parallel import (
+    CellFailedError,
+    RetryPolicy,
+    SweepCell,
+    SweepStats,
+    run_cells,
+)
 from repro.plan import Cell, ExperimentSpec, compile_plan, execute_plan
-from repro.plan.executors import ExecutionRequest, make_executor
+from repro.plan.executors import ExecutionRequest, LocalExecutor
 
-from tests.cluster.cellfns import die_in_worker, graph_edges, square
+from tests.cluster.cellfns import (
+    boom,
+    die_in_worker,
+    graph_edges,
+    raise_unpicklable,
+    square,
+)
 
 
 def _cells(n=12):
     return [SweepCell(key=i, fn=square, args=(i,)) for i in range(n)]
 
 
-def test_registry_builds_distributed_executor():
-    executor = make_executor(
-        "distributed", spawn_workers=1, lease_seconds=5.0
-    )
-    assert isinstance(executor, DistributedExecutor)
-    assert executor.spawn_workers == 1
-
-
 def test_empty_request_is_a_noop():
-    executor = DistributedExecutor(spawn_workers=1)
-    assert executor.run(ExecutionRequest(cells=[])) == {}
+    assert LocalExecutor().run(ExecutionRequest(cells=[], workers=2)) == {}
 
 
 def test_matches_serial_run_cells(tmp_path):
     serial = run_cells(_cells(), workers=1)
     stats = SweepStats()
-    executor = DistributedExecutor(spawn_workers=2, lease_seconds=30.0)
-    request = ExecutionRequest(
-        cells=_cells(), label="e2e", stats=stats,
+    pooled = run_cells(
+        _cells(), workers=2, label="e2e", stats=stats,
         cache=MeasurementCache(str(tmp_path / "cache")),
     )
-    assert executor.run(request) == serial
+    assert pooled == serial
     assert stats.completed == len(serial)
     assert not stats.serial_fallback
 
@@ -54,34 +58,25 @@ def test_graphs_ship_once_per_worker(tmp_path):
     ]
     bus = EventBus()
     with collecting(bus):
-        executor = DistributedExecutor(spawn_workers=2)
-        result = executor.run(
-            ExecutionRequest(
-                cells=cells, label="graphs",
-                cache=MeasurementCache(str(tmp_path / "cache")),
-            )
+        result = run_cells(
+            cells, workers=2, label="graphs",
+            cache=MeasurementCache(str(tmp_path / "cache")),
         )
     assert result == {i: int(graph.num_edges) + i for i in range(10)}
-    bus.pump()
     cluster = bus.fleet_summary()["cluster"]
     assert cluster["leases"]["completed"] == 10
     # Dedup: at most one shipment per worker, never one per cell.
     assert 1 <= cluster["graphs_shipped"] <= 2
-    bus.close()
 
 
 def test_fleet_death_falls_back_to_serial(tmp_path):
     """Workers that die on sight must not strand the plan."""
     cells = [SweepCell(key=i, fn=die_in_worker, args=(i,)) for i in range(6)]
     stats = SweepStats()
-    executor = DistributedExecutor(
-        spawn_workers=1, max_respawns=0, lease_seconds=30.0
-    )
-    result = executor.run(
-        ExecutionRequest(
-            cells=cells, label="doomed", stats=stats,
-            cache=MeasurementCache(str(tmp_path / "cache")),
-        )
+    result = run_cells(
+        cells, workers=2, label="doomed", stats=stats,
+        policy=RetryPolicy(max_retries=0, max_pool_restarts=0),
+        cache=MeasurementCache(str(tmp_path / "cache")),
     )
     assert result == {i: i * i for i in range(6)}
     assert stats.serial_fallback
@@ -96,8 +91,8 @@ def test_parent_never_writes_the_shared_cache(tmp_path, monkeypatch):
         puts.append(fingerprint)
         put(cache, fingerprint, result, seconds)
 
-    # Spawned workers start a fresh interpreter, so only the parent's
-    # writes are counted.
+    # Worker processes append to their own copies of ``puts``, so only
+    # the parent's writes are counted.
     monkeypatch.setattr(MeasurementCache, "put", counting_put)
     cache = MeasurementCache(str(tmp_path / "cache"))
     spec = ExperimentSpec(
@@ -106,9 +101,7 @@ def test_parent_never_writes_the_shared_cache(tmp_path, monkeypatch):
         build=dict,
     )
     plan = compile_plan([spec])
-    results = execute_plan(
-        plan, cache=cache, executor=DistributedExecutor(spawn_workers=1)
-    )
+    results = execute_plan(plan, workers=2, cache=cache)
     assert results.artifact("squares") == {i: i * i for i in range(6)}
     assert puts == []
     assert len(cache) == 6
@@ -116,11 +109,29 @@ def test_parent_never_writes_the_shared_cache(tmp_path, monkeypatch):
 
 def test_transport_cache_is_private_and_cleaned_up():
     """No --cache configured: results still travel, via a temp dir."""
-    executor = DistributedExecutor(spawn_workers=1)
-    result = executor.run(ExecutionRequest(cells=_cells(4), label="nocache"))
+    result = run_cells(_cells(4), workers=2, label="nocache")
     assert result == {i: i * i for i in range(4)}
 
 
-def test_rejects_negative_spawn_workers():
-    with pytest.raises(ValueError):
-        DistributedExecutor(spawn_workers=-1)
+def test_cell_exceptions_cross_back_with_the_worker_traceback():
+    """A worker's exception arrives as itself, its traceback attached; one
+    that cannot be pickled arrives as RemoteCellError naming it."""
+    cells = [
+        SweepCell(key="ok", fn=square, args=(3,)),
+        SweepCell(key="bad", fn=boom, args=(7,)),
+    ]
+    with pytest.raises(CellFailedError) as excinfo:
+        run_cells(cells, workers=2)
+    cause = excinfo.value.__cause__
+    assert type(cause) is RuntimeError and str(cause) == "cell 7 failed"
+    if sys.version_info >= (3, 11):  # exception notes
+        notes = "\n".join(cause.__notes__)
+        assert "worker traceback" in notes and "in boom" in notes
+
+    cells[1] = SweepCell(key="bad", fn=raise_unpicklable, args=(7,))
+    with pytest.raises(CellFailedError) as excinfo:
+        run_cells(cells, workers=2)
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, RemoteCellError)
+    assert str(cause) == "Unpicklable: cell 7 cannot cross"
+    assert "raise_unpicklable" in cause.traceback_text

@@ -81,3 +81,71 @@ def test_warm_cache_run_executes_zero_cells(tmp_path):
     # ...and the artifacts are byte-identical to the cold run's.
     for name in ("table2_priorwork.txt", "fig3_vertex_traffic.txt"):
         assert (warm_out / name).read_bytes() == (cold_out / name).read_bytes()
+
+
+def _live_session_processes(sid):
+    """Pids of non-zombie processes in session ``sid`` (from /proc)."""
+    from pathlib import Path
+
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[3]) == sid and fields[0] != "Z":
+            live.append(int(stat.parent.name))
+    return live
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_interrupted_pooled_run_exits_and_leaves_no_process(tmp_path):
+    """SIGINT to the driver of a pooled run: it exits nonzero within 5 s
+    and, 2 s later, nothing it started is still alive."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    cache = tmp_path / "cache"
+    # Install Python's SIGINT handler even if this process inherited an
+    # ignored SIGINT (a backgrounded shell job does).
+    code = (
+        "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+        "from repro.harness.reproduce import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("REPRO_FAULT_PLAN", None)
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-c", code, "--quick", "--only", "fig9", "fig10",
+            "--workers", "2", "--cache", str(cache), "--output",
+            str(tmp_path / "out"), "-q", "--progress", "off",
+        ],
+        env=env,
+        start_new_session=True,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 120.0
+        while not [
+            entry for entry in cache.glob("objects/*/*.json")
+            if not entry.name.startswith(".tmp")
+        ]:
+            assert proc.poll() is None, "run ended before it cached a cell"
+            assert time.monotonic() < deadline, "no cell cached within 120 s"
+            time.sleep(0.02)
+        os.kill(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=5.0) != 0
+        deadline = time.monotonic() + 2.0
+        while _live_session_processes(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_session_processes(proc.pid) == []
+    finally:
+        try:  # whatever a failed assertion left running
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()

@@ -3,7 +3,8 @@
 The contracts pinned here are the ones the sweep engine and the report
 writers lean on: the disabled fast path is a true no-op, the collector
 drops (and counts) incompatible schema majors, subscriber exceptions
-never propagate into ingestion, clock offsets map worker timestamps onto
+never propagate into ingestion, concurrent ingestion reaches subscribers
+one event at a time in arrival order, clock offsets map worker timestamps onto
 the parent clock, ``fleet_summary`` keeps the ``executed + cached ==
 total`` identity under fingerprint dedup, and
 ``merge_into_trace`` renders per-worker tracks (spans, instants,
@@ -12,7 +13,8 @@ resource counters) into one Chrome trace.
 
 from __future__ import annotations
 
-import queue
+import sys
+import threading
 import time
 
 import pytest
@@ -132,17 +134,47 @@ def test_raising_subscriber_does_not_break_ingestion_or_peers():
 
 
 # ----------------------------------------------------------------------
-# pump and clock offsets
+# concurrent delivery and clock offsets
 # ----------------------------------------------------------------------
-def test_pump_drains_worker_queue_messages():
+def test_concurrent_ingest_delivers_one_event_at_a_time_in_index_order():
+    # Several coordinator connections ingest at once; the subscriber (a
+    # progress renderer is not thread-safe) must see strictly increasing
+    # indices and never two calls at the same time.
     bus = EventBus()
-    bus._queue = queue.Queue()  # stand-in for the manager proxy
-    bus._queue.put(_message("worker_spawned", "pid41", 0, None, None, None, {}))
-    bus._queue.put(_message("cell_started", "pid41", 1, "a", "fp", 0, {}))
-    assert bus.pump() == 2
-    assert bus.pump() == 0
-    assert [e.kind for e in bus.events()] == ["worker_spawned", "cell_started"]
-    assert "pid41" in bus.workers()
+    seen = []
+    active = []
+    overlaps = []
+
+    def subscriber(event):
+        active.append(event)
+        if len(active) > 1:
+            overlaps.append(event.index)
+        time.sleep(0.0005)  # widen the window an unserialised call needs
+        seen.append(event.index)
+        active.remove(event)
+
+    bus.subscribe(subscriber)
+
+    def feed(worker):
+        for seq in range(50):
+            bus.ingest(_message("cell_started", worker, seq, "a", "fp", 0, {}))
+
+    threads = [
+        threading.Thread(target=feed, args=(f"pid{100 + i}",)) for i in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 200
+    assert seen == sorted(seen) and len(set(seen)) == 200
+    assert overlaps == []
 
 
 def test_worker_clock_offset_is_minimum_observed_gap():

@@ -7,8 +7,8 @@ any seeded :class:`FaultPlan`, the fault schedule is a pure function of
 the engine, exactly which injected faults and retries must appear in the
 event stream, and assert each appears exactly once with causal per-cell
 ordering.  Fixed-seed pool cases extend the claim across process
-boundaries, including the hardest path: a wedged-pool replacement must
-not lose any event the doomed workers already enqueued.
+boundaries, including the hardest path: replacing a wedged worker must
+not lose any event the doomed worker already sent.
 """
 
 from __future__ import annotations
@@ -206,7 +206,6 @@ def test_pool_mode_records_the_same_schedule_as_serial():
             fault_plan=plan,
             policy=RetryPolicy.covering(plan),
         )
-        bus.close()
     assert result == {i: i * i for i in range(8)}
     events = bus.events()
     observed = sorted(
@@ -243,7 +242,6 @@ def test_pool_causal_order_verdict_follows_start(monkeypatch):
             fault_plan=plan,
             policy=RetryPolicy.covering(plan),
         )
-        bus.close()
     for fingerprint in _fingerprints(cells).values():
         history = [
             (e.kind, e.attempt)
@@ -262,7 +260,7 @@ def test_pool_causal_order_verdict_follows_start(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# wedged-pool replacement: nothing already enqueued is lost
+# wedged-worker replacement: nothing already sent is lost
 # ----------------------------------------------------------------------
 def test_wedged_pool_replacement_loses_no_events(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
@@ -279,15 +277,14 @@ def test_wedged_pool_replacement_loses_no_events(monkeypatch):
                 policy=RetryPolicy(max_retries=0, cell_timeout=0.3),
                 stats=stats,
             )
-        bus.close()
     assert stats.pool_restarts >= 1
     events = bus.events()
 
     replacements = [e for e in events if e.kind == "worker_replaced"]
     assert replacements and replacements[0].payload["reason"] == "wedged"
 
-    # The hung cell's start was enqueued by a worker that was later
-    # terminated — the replacement pump must still have collected it.
+    # The hung cell's start was sent by a worker that was later
+    # terminated — the coordinator must still have collected it.
     hang_fp = fingerprints["hang"]
     assert any(
         e.kind == "cell_started" and e.fingerprint == hang_fp for e in events

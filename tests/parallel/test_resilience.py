@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -52,6 +53,13 @@ def _sleep_then_square(x):
     import time
 
     time.sleep(0.25)
+    return x * x
+
+
+def _nap_then_square(x):
+    import time
+
+    time.sleep(0.3)
     return x * x
 
 
@@ -152,13 +160,29 @@ def test_pool_mode_recovers_faults_identically():
 
 def test_duplicate_keys_resolve_in_submission_order():
     # Two cells share a key; the later submission must win in both modes,
-    # exactly as a serial dict-update loop would have it.
-    cells = [
-        SweepCell(key="dup", fn=_square, args=(2,)),
-        SweepCell(key="dup", fn=_square, args=(5,)),
+    # exactly as a serial dict-update loop would have it.  Two identical
+    # cells (same fingerprint) run at once on two workers: each lease
+    # must be accounted on its own, or the pooled run never returns.
+    inputs = [
+        (
+            [
+                SweepCell(key="dup", fn=_square, args=(2,)),
+                SweepCell(key="dup", fn=_square, args=(5,)),
+            ],
+            {"dup": 25},
+        ),
+        ([SweepCell(key="dup", fn=_nap_then_square, args=(3,))] * 2, {"dup": 9}),
     ]
-    assert run_cells(cells, workers=1) == {"dup": 25}
-    assert run_cells(cells, workers=2) == {"dup": 25}
+    for cells, expected in inputs:
+        assert run_cells(cells, workers=1) == expected
+        pooled = {}
+        thread = threading.Thread(
+            target=lambda: pooled.update(run_cells(cells, workers=2)), daemon=True
+        )
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "pooled run did not return within 10 s"
+        assert pooled == expected
 
 
 def test_corrupt_results_never_leak():
