@@ -442,14 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker name in fleet telemetry (default: pid<PID>)",
     )
-    p_worker.add_argument(
-        "--max-idle",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="leave when the coordinator has had no work for this long "
-        "(default: stay until the coordinator says shutdown)",
-    )
 
     p_serve = add_parser(
         "serve",
@@ -1075,13 +1067,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     # A standing worker should say what it is doing; default to INFO
     # like the reproduce driver rather than the CLI's warnings-only.
     configure_logging(args.verbose - args.quiet + 1)
-    return run_worker(
-        host,
-        port,
-        cache_dir=args.cache_dir,
-        name=args.name,
-        max_idle_seconds=args.max_idle,
-    )
+    return run_worker(host, port, cache_dir=args.cache_dir, name=args.name)
 
 
 def _execute_plan_cli(args: argparse.Namespace, plan, cache) -> int:

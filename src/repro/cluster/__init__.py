@@ -4,13 +4,13 @@ The paper's blocking insight — batch work by destination so
 communication amortizes — applied to the harness itself.  A
 :class:`~repro.cluster.coordinator.Coordinator` leases a sweep's cells
 to socket-connected workers (:mod:`repro.cluster.worker`, ``repro-pb
-worker``); cells sharing a graph are leased to the same worker
-(graph-affinity lanes sized to the fleet) and each graph ships over the
-wire at most once per worker (:mod:`repro.cluster.shipping`).  Results
-travel through the shared, atomically-written
-:class:`repro.harness.cache.MeasurementCache`; worker death or hang is
-recovered through heartbeat-expiring leases, per-cell deadlines and
-worker respawns feeding the sweep engine's retry/backoff accounting.
+worker``) from one FIFO queue in submission order, one frame each way
+per cell, and each graph ships over the wire at most once per worker
+(:mod:`repro.cluster.shipping`).  Results travel through the shared,
+atomically-written :class:`repro.harness.cache.MeasurementCache`;
+worker death or hang is recovered through heartbeat-expiring leases,
+per-cell deadlines and worker respawns feeding the sweep engine's
+retry/backoff accounting.
 
 This is the scheduler of every pooled run: :func:`run_fleet` is what
 :func:`repro.parallel.sweep.run_cells` calls for ``workers >= 2``, so

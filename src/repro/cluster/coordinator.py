@@ -18,12 +18,15 @@ run_fleet`), and it *shares its code* with the serial path of
   the :class:`~repro.parallel.resilience.CellFailedError` a sweep
   raises chains the original exception;
 * the serial fallback (:meth:`Coordinator.run_pending_serially`) runs
-  :func:`repro.parallel.resilience.run_serial`;
-* lease ordering is locality-aware through
-  :func:`~repro.parallel.scheduling.cell_affinity` /
-  :func:`~repro.parallel.scheduling.affinity_lanes`: cells sharing a
-  graph lease to the same worker, so each graph ships once and stays
-  resident (:mod:`repro.cluster.shipping`).
+  :func:`repro.parallel.resilience.run_serial`.
+
+Cells lease from one FIFO queue in submission order; a requeued cell
+goes to the front, and a cell backing off before a retry is skipped
+until it is eligible.  Each cell costs one frame each way: the first
+lease follows ``welcome``, and every ``complete`` or ``failed`` is
+answered by the next ``lease`` or by ``shutdown``.  A worker with
+nothing eligible is held until the earliest backoff ends, a cell is
+requeued or the sweep ends.
 
 The **data plane stays off the wire**: a worker writes its result into
 the shared :class:`repro.harness.cache.MeasurementCache` (atomic
@@ -65,7 +68,6 @@ from repro.parallel.resilience import (
     resolve_policy,
     run_serial,
 )
-from repro.parallel.scheduling import affinity_lanes, cell_affinity
 from repro.cluster.shipping import strip_cell
 from repro.cluster.wire import PROTOCOL_VERSION, Connection, FrameError
 
@@ -119,15 +121,18 @@ class _Lease:
 
 
 class _WorkerState:
-    __slots__ = ("name", "conn", "lane", "shipped", "pid", "host")
+    """One connected worker; ``wedged`` once a cell it holds overran its
+    deadline (the fleet replaces such a worker and reports it)."""
 
-    def __init__(self, name: str, conn: Connection, lane: int) -> None:
+    __slots__ = ("name", "conn", "shipped", "pid", "host", "wedged")
+
+    def __init__(self, name: str, conn: Connection) -> None:
         self.name = name
         self.conn = conn
-        self.lane = lane
         self.shipped: set = set()
         self.pid = 0
         self.host = ""
+        self.wedged = False
 
 
 class Coordinator:
@@ -141,8 +146,7 @@ class Coordinator:
     ``fault_plan``/``stats`` behave exactly as in
     :func:`repro.parallel.sweep.run_cells`; ``note(name, seconds)``
     receives the ``cell[key]``/``retry[key]`` timings.
-    ``expected_workers`` sizes the affinity lanes; ``lease_seconds``
-    bounds how long a silent worker holds a cell.
+    ``lease_seconds`` bounds how long a silent worker holds a cell.
     """
 
     def __init__(
@@ -156,7 +160,6 @@ class Coordinator:
         fault_plan: FaultPlan | None = None,
         stats: SweepStats | None = None,
         note: Callable[[str, float], None] | None = None,
-        expected_workers: int = 1,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         bind: tuple[str, int] = DEFAULT_BIND,
     ) -> None:
@@ -167,13 +170,12 @@ class Coordinator:
         self.policy = resolve_policy(policy, self.plan)
         self.stats = stats if stats is not None else SweepStats()
         self.note = note if note is not None else (lambda name, seconds: None)
-        self.expected_workers = max(1, expected_workers)
         self.lease_seconds = lease_seconds
         self._bind = bind
 
         self._lock = threading.RLock()
         # Signalled whenever the queue gains a task or the sweep ends:
-        # wakes wait() and workers long-polling for a lease.
+        # wakes wait() and workers held for their next lease.
         self._done = threading.Condition(self._lock)
         self.outcomes: dict[int, Any] = {}
         self.failures: list[tuple[_CellRun, BaseException]] = []
@@ -186,33 +188,8 @@ class Coordinator:
         self.address: tuple[str, int] | None = None
 
         self.stats.cells += len(cells)
-        runs = cell_runs(cells, result_fingerprints)
-
-        # Locality-aware lease ordering: affinity lanes sized to the
-        # expected fleet.  A worker drains its own lane first and steals
-        # from the fullest other lane when dry, so co-located graphs stay
-        # co-located without ever idling a worker.
-        self._lanes: list[deque[_CellRun]] = [
-            deque() for _ in range(self.expected_workers)
-        ]
-        if runs:
-            hints = cell_affinity([task.cell for task in runs])
-            lanes = affinity_lanes(hints, self.expected_workers)
-            for lane_index, lane in enumerate(lanes):
-                for cell_index in lane:
-                    task = runs[cell_index]
-                    task.lane = lane_index
-                    self._lanes[lane_index].append(task)
-            populated = sum(1 for lane in lanes if lane)
-            _events.emit(
-                "affinity_assigned",
-                cell=self.label,
-                cells=len(runs),
-                groups=len({key for key, _ in hints}),
-                lanes=populated,
-                workers=self.expected_workers,
-            )
-        self._remaining = len(runs)
+        self._queue: deque[_CellRun] = deque(cell_runs(cells, result_fingerprints))
+        self._remaining = len(self._queue)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -246,11 +223,10 @@ class Coordinator:
         monitor.start()
         self._threads += [accept, monitor]
         log.info(
-            "%s: coordinator listening on %s:%d (%d cell(s), %d lane(s))",
+            "%s: coordinator listening on %s:%d (%d cell(s))",
             self.label,
             *address,
             self._remaining,
-            self.expected_workers,
         )
         return address
 
@@ -265,7 +241,7 @@ class Coordinator:
     def queued(self) -> int:
         """Cells waiting for a lease (not counting leased ones)."""
         with self._lock:
-            return sum(len(lane) for lane in self._lanes)
+            return len(self._queue)
 
     def take_wedged(self) -> list[int]:
         """Pids of workers whose cell overran its deadline since the last
@@ -292,42 +268,21 @@ class Coordinator:
         with self._lock:
             return fold_results(self.cells, self.outcomes, self.failures)
 
-    def _drain_tasks(self) -> list[_CellRun]:
-        with self._lock:
-            tasks = sorted(
-                (task for lane in self._lanes for task in lane),
-                key=lambda task: task.index,
-            )
-            for lane in self._lanes:
-                lane.clear()
-            self._remaining -= len(tasks)
-            if not self._remaining:
-                self._done.notify_all()
-            return tasks
-
-    def drain_pending(self) -> list:
-        """Remove and return not-yet-completed cells in submission order.
-
-        Leased cells are *not* drained — their workers may still
-        complete them — only queued ones.
-        """
-        return [task.cell for task in self._drain_tasks()]
-
-    def absorb(self, outcomes: dict[Any, Any]) -> None:
-        """Fold externally computed results back in (keyed by cell key)."""
-        with self._lock:
-            for index, cell in enumerate(self.cells):
-                if index not in self.outcomes and cell.key in outcomes:
-                    self.outcomes[index] = outcomes[cell.key]
-
     def run_pending_serially(self) -> int:
-        """The fleet is gone: run every queued cell in this process.
+        """The fleet is gone: run every queued cell in this process, in
+        submission order.
 
         Attempts continue where the fleet left them, with the same
         retry accounting; results are cached here, by the process that
-        computed them.  Returns how many cells were drained.
+        computed them.  Leased cells are left to their workers.  Returns
+        how many cells were drained.
         """
-        tasks = self._drain_tasks()
+        with self._lock:
+            tasks = sorted(self._queue, key=lambda task: task.index)
+            self._queue.clear()
+            self._remaining -= len(tasks)
+            if not self._remaining:
+                self._done.notify_all()
 
         def complete(task: _CellRun, result: Any, seconds: float) -> None:
             with self._lock:
@@ -349,8 +304,8 @@ class Coordinator:
         join the coordinator's threads.
 
         After a finished sweep, connected workers are given ``grace``
-        seconds to pick up their ``shutdown`` reply and leave on their
-        own, so a clean run ends in goodbyes rather than mid-ack EOFs.
+        seconds to pick up their ``shutdown`` and leave on their own, so
+        a clean run ends in goodbyes rather than EOFs.
         Joining leaves the process single-threaded again, so the next
         sweep's workers fork from a process without threads.
         """
@@ -383,12 +338,8 @@ class Coordinator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _requeue(self, task: _CellRun, *, front: bool = False) -> None:
-        lane = self._lanes[task.lane]
-        if front:
-            lane.appendleft(task)
-        else:
-            lane.append(task)
+    def _requeue(self, task: _CellRun) -> None:
+        self._queue.appendleft(task)
         self._done.notify_all()
 
     def _record_outcome(self, task: _CellRun, result: Any, seconds: float) -> None:
@@ -401,32 +352,13 @@ class Coordinator:
         if not self._remaining:
             self._done.notify_all()
 
-    def _pop_task(self, lane_index: int, now: float) -> _CellRun | None:
-        """Next eligible task: own lane front, else steal a fullest-lane
-        tail (keeps the victim lane's locality run intact)."""
-        lane = self._lanes[lane_index % len(self._lanes)]
-        for _ in range(len(lane)):
-            task = lane.popleft()
+    def _pop_task(self, now: float) -> _CellRun | None:
+        """The first queued task not backing off, or ``None``."""
+        for position, task in enumerate(self._queue):
             if task.not_before <= now:
+                del self._queue[position]
                 return task
-            lane.append(task)
-        order = sorted(
-            (i for i in range(len(self._lanes)) if i != lane_index % len(self._lanes)),
-            key=lambda i: -len(self._lanes[i]),
-        )
-        for index in order:
-            other = self._lanes[index]
-            for _ in range(len(other)):
-                task = other.pop()
-                if task.not_before <= now:
-                    return task
-                other.appendleft(task)
         return None
-
-    def _retry_after(self, now: float) -> float:
-        """How long an idle worker should wait before asking again."""
-        queued = [task.not_before for lane in self._lanes for task in lane]
-        return min(max(0.0, min(queued) - now) + 0.005, 0.25)
 
     # ------------------------------------------------------------------
     # connection handling
@@ -470,19 +402,9 @@ class Coordinator:
                 if self._closing:
                     conn.send({"kind": "reject", "reason": "coordinator closing"})
                     return
-                # Spread joiners across lanes: each takes the least-
-                # crowded lane so lane k's graphs land on one worker
-                # until the fleet outgrows the lanes.
-                crowd = {index: 0 for index in range(len(self._lanes))}
-                for state in self._workers.values():
-                    crowd[state.lane] = crowd.get(state.lane, 0) + 1
-                lane = min(
-                    crowd,
-                    key=lambda index: (crowd[index], -len(self._lanes[index]), index),
-                )
                 if name in self._workers:
                     name = f"{name}@{conn.peer}"
-                worker = _WorkerState(name, conn, lane)
+                worker = _WorkerState(name, conn)
                 worker.pid = int(hello.get("pid") or 0)
                 worker.host = str(hello.get("host") or "")
                 self._workers[name] = worker
@@ -504,9 +426,13 @@ class Coordinator:
                 pid=worker.pid,
                 host=worker.host,
                 address=conn.peer,
-                lane=worker.lane,
             )
-            log.info("%s: worker %s joined (lane %d)", self.label, name, worker.lane)
+            log.info("%s: worker %s joined", self.label, name)
+            # One frame each way per cell: the first lease follows the
+            # welcome, and each report is answered by the next lease or
+            # by shutdown.  After shutdown the connection is still read
+            # until goodbye or EOF, so no trailing event frame is lost.
+            clean = self._grant(worker)
             while True:
                 message = conn.recv()
                 if message is None:
@@ -514,15 +440,9 @@ class Coordinator:
                 if not isinstance(message, dict):
                     continue
                 kind = message.get("kind")
-                if kind == "lease_request":
-                    if not self._grant(worker):
-                        clean = self.done()
-                        if clean or self._closing:
-                            return
-                elif kind == "complete":
-                    self._on_complete(worker, message)
-                elif kind == "failed":
-                    self._on_failed(worker, message)
+                if kind in ("complete", "failed"):
+                    self._on_report(worker, message)
+                    clean = self._grant(worker)
                 elif kind == "heartbeat":
                     self._on_heartbeat(worker)
                 elif kind == "event":
@@ -543,11 +463,12 @@ class Coordinator:
                 self._release_worker(worker, clean=clean)
 
     def _grant(self, worker: _WorkerState) -> bool:
-        """Lease the next cell to ``worker``; False when none granted.
+        """Send ``worker`` its next lease, or ``shutdown`` once the sweep
+        is over or closing; True when it was told to shut down.
 
-        While every remaining cell is leased elsewhere the request is
-        held (a long poll): a requeue, the sweep's end or close wakes
-        it, so no worker sleeps through the moment it is needed.
+        With nothing eligible the worker is held: the earliest backoff's
+        end, a requeue, the sweep's end or close wakes it, so no worker
+        sleeps through the moment it is needed.
         """
         with self._lock:
             while True:
@@ -556,22 +477,13 @@ class Coordinator:
                         worker.conn.send({"kind": "shutdown"})
                     except OSError:
                         pass
-                    return False
+                    return True
                 now = monotonic()
-                task = self._pop_task(worker.lane, now)
+                task = self._pop_task(now)
                 if task is not None:
                     break
-                if any(self._lanes):
-                    # Queued cells are backing off: come back when the
-                    # earliest is eligible.
-                    try:
-                        worker.conn.send(
-                            {"kind": "idle", "retry_after": self._retry_after(now)}
-                        )
-                    except OSError:
-                        pass
-                    return True
-                self._done.wait(timeout=0.25)
+                soonest = min((run.not_before for run in self._queue), default=None)
+                self._done.wait(None if soonest is None else soonest - now)
             lease = _Lease(
                 task, worker.name, now, self.lease_seconds, self.policy.cell_timeout
             )
@@ -593,8 +505,8 @@ class Coordinator:
             with self._lock:
                 if self._leases.get(task.index) is lease:
                     del self._leases[task.index]
-                    self._requeue(task, front=True)
-            return True
+                    self._requeue(task)
+            return False
         _events.emit(
             "lease_granted",
             cell=task.cell.key,
@@ -605,7 +517,7 @@ class Coordinator:
             frame_bytes=frame_bytes,
             graph_shipped=bool(graphs),
         )
-        return True
+        return False
 
     # ------------------------------------------------------------------
     # message handlers
@@ -618,13 +530,18 @@ class Coordinator:
             del self._leases[index]
             return lease
 
-    def _on_complete(self, worker: _WorkerState, message: dict[str, Any]) -> None:
-        index = message.get("index")
-        lease = self._take_lease(worker, index)
+    def _on_report(self, worker: _WorkerState, message: dict[str, Any]) -> None:
+        """Settle a ``complete`` or ``failed`` report.  A report for a
+        lease that expired (and was perhaps re-leased) counts nothing."""
+        lease = self._take_lease(worker, message.get("index"))
         if lease is None:
-            self._ack(worker, index, duplicate=True)
             return
         task = lease.task
+        if message.get("kind") == "failed":
+            self._charge(
+                task, _remote_exception(message), float(message.get("seconds", 0.0))
+            )
+            return
         entry = self.cache.get(task.cache_fingerprint or task.fingerprint)
         if entry is None:
             # The worker claims success but the shared cache has no
@@ -636,7 +553,6 @@ class Coordinator:
                 f"result is unreadable in the shared cache"
             )
             self._charge(task, exc, float(message.get("seconds", 0.0)))
-            self._ack(worker, index)
             return
         seconds = float(message.get("seconds", entry.seconds))
         with self._lock:
@@ -651,24 +567,6 @@ class Coordinator:
             seconds=seconds,
             lease_age=monotonic() - lease.granted,
         )
-        self._ack(worker, index)
-
-    def _on_failed(self, worker: _WorkerState, message: dict[str, Any]) -> None:
-        index = message.get("index")
-        lease = self._take_lease(worker, index)
-        if lease is not None:
-            self._charge(
-                lease.task,
-                _remote_exception(message),
-                float(message.get("seconds", 0.0)),
-            )
-        self._ack(worker, index, duplicate=lease is None)
-
-    def _ack(self, worker: _WorkerState, index: Any, duplicate=False) -> None:
-        try:
-            worker.conn.send({"kind": "ack", "index": index, "duplicate": duplicate})
-        except OSError:
-            pass
 
     def _on_heartbeat(self, worker: _WorkerState) -> None:
         now = monotonic()
@@ -702,7 +600,9 @@ class Coordinator:
         well before its leases expire; the in-flight cells go back to
         the queue uncharged — retries are for *cell* failures, crash
         recovery is free.  (A worker that hangs without dying keeps its
-        connection; that case is the expiry monitor's.)
+        connection; that case is the expiry monitor's.)  A wedged
+        worker's EOF is the fleet replacing it, which ``worker_replaced``
+        reports, so it is not also reported lost.
         """
         with self._lock:
             self._workers.pop(worker.name, None)
@@ -710,10 +610,10 @@ class Coordinator:
             for index, lease in list(self._leases.items()):
                 if lease.worker == worker.name:
                     del self._leases[index]
-                    self._requeue(lease.task, front=True)
+                    self._requeue(lease.task)
                     requeued.append(lease.task.cell.key)
             closing = self._closing
-        if clean and not requeued:
+        if (clean or worker.wedged) and not requeued:
             log.info("%s: worker %s left", self.label, worker.name)
             return
         if closing:
@@ -760,6 +660,15 @@ class Coordinator:
                     continue
                 del self._leases[index]
         for lease in overrun:
+            # The worker is still busy on the cell (and heartbeating):
+            # the fleet terminates and replaces it (take_wedged).  Marked
+            # before the charge, which may end the sweep and wake the
+            # fleet's last take_wedged call.
+            with self._lock:
+                worker = self._workers.get(lease.worker)
+                if worker is not None and worker.pid:
+                    worker.wedged = True
+                    self._wedged.append(worker.pid)
             self._charge(
                 lease.task,
                 CellTimeoutError(
@@ -768,12 +677,6 @@ class Coordinator:
                 ),
                 now - lease.granted,
             )
-            # The worker is still busy on the cell (and heartbeating):
-            # the fleet terminates and replaces it (take_wedged).
-            with self._lock:
-                worker = self._workers.get(lease.worker)
-                if worker is not None and worker.pid:
-                    self._wedged.append(worker.pid)
         for lease in expired:
             task = lease.task
             _events.emit(

@@ -80,7 +80,6 @@ def run_fleet(
         fault_plan=fault_plan,
         stats=stats,
         note=note,
-        expected_workers=workers,
         lease_seconds=lease_seconds,
         bind=bind,
     )

@@ -5,15 +5,11 @@ same multi-MB CSR arrays into every lease frame would re-pay the
 communication cost the paper is about eliminating.  Leases therefore
 carry :class:`GraphTicket` placeholders for graph arguments the worker
 already holds, plus a ``graphs`` side-table for the (at most one-per-
-graph-per-worker) first shipment.  Combined with the coordinator's
-affinity lanes — cells sharing a graph lease to the same worker — a
-fleet materialises each graph on as few workers as the lane assignment
-allows.
+graph-per-worker) first shipment.
 
-Tickets are keyed by the same affinity key the scheduler uses
-(:func:`repro.parallel.scheduling.graph_key`), so "same graph" means
-the same parent-side object — exactly the sharing a compiled plan
-produces.  Substitution happens *after* fingerprinting on both sides
+Tickets are keyed by :func:`graph_key`, so "same graph" means the same
+parent-side object — exactly the sharing a compiled plan produces.
+Substitution happens *after* fingerprinting on both sides
 (the coordinator fingerprints original cells, the worker receives the
 fingerprint in the lease), so tickets never touch cell identity.
 """
@@ -24,9 +20,18 @@ from dataclasses import dataclass, replace
 from typing import Any, Hashable
 
 from repro.graphs.csr import CSRGraph
-from repro.parallel.scheduling import graph_key
 
 __all__ = ["GraphTicket", "strip_cell", "resolve_cell"]
+
+
+def graph_key(graph: CSRGraph) -> Hashable:
+    """Ticket key of a graph argument: the parent-side object identity.
+
+    By identity, not content digest: hashing a multi-MB graph per cell
+    would cost more than deduplicating shipments buys, and plan-compiled
+    sweeps pass the same object for equal content anyway.
+    """
+    return ("mem", id(graph))
 
 
 @dataclass(frozen=True)

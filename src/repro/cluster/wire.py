@@ -42,8 +42,12 @@ __all__ = [
 #: Bumped when the frame or message vocabulary changes incompatibly;
 #: checked in the hello/welcome handshake.  2: leases, ``complete``,
 #: ``failed`` and ``ack`` name the cell by submission ``index``, and
-#: ``failed`` carries the pickled exception.
-PROTOCOL_VERSION = 2
+#: ``failed`` carries the pickled exception.  3: one frame each way per
+#: cell — the first lease follows ``welcome`` and each ``complete`` or
+#: ``failed`` is answered by the next ``lease`` or ``shutdown``, so
+#: the worker's lease requests and the coordinator's acks and idle
+#: replies are gone.
+PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct("!Q")
 

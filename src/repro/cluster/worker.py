@@ -4,22 +4,24 @@ shared cache.
 One worker is one process (``repro-pb worker``, or one of the local
 processes every pooled sweep starts, :func:`repro.cluster.executor.
 run_fleet`) running a strict request/reply loop over one
-:class:`~repro.cluster.wire.Connection`:
+:class:`~repro.cluster.wire.Connection`, one frame each way per cell:
 
 1. ``hello`` → ``welcome`` — protocol check; the welcome carries the
    shared cache directory, the fault plan, and the heartbeat cadence;
-2. ``lease_request`` → ``lease`` / ``idle`` / ``shutdown``;
-3. execute the leased cell through the *same*
+   the first ``lease`` (or ``shutdown``) follows it unasked;
+2. execute the leased cell through the *same*
    :func:`repro.parallel.resilience._attempt_cell` a serial sweep uses
    — fault injection, spans, and the ``cell_started`` /
    ``cell_finished`` events all behave identically;
-4. write the result into the shared
+3. write the result into the shared
    :class:`~repro.harness.cache.MeasurementCache` (atomic rename), then
-   ``complete`` → ``ack`` carrying only the lease's submission index —
+   report ``complete`` carrying only the lease's submission index —
    the data plane never rides the socket;
-5. on a cell exception: ``failed`` → ``ack``, carrying the pickled
+4. on a cell exception, report ``failed`` instead, carrying the pickled
    exception and its traceback (type name and message alone when the
-   exception does not pickle).
+   exception does not pickle);
+5. the coordinator answers each report with the next ``lease`` or
+   ``shutdown``; on ``shutdown`` the worker says ``goodbye`` and exits.
 
 Telemetry: :func:`repro.obs.events.worker_init` accepts anything with
 ``put(message)``, so :class:`_SocketChannel` adapts the connection and
@@ -36,7 +38,6 @@ import os
 import pickle
 import socket as socket_module
 import threading
-import time
 import traceback
 from typing import Any
 
@@ -99,16 +100,13 @@ def run_worker(
     cache_dir: str | None = None,
     name: str | None = None,
     connect_timeout: float = 10.0,
-    max_idle_seconds: float | None = None,
 ) -> int:
     """Serve one coordinator until it says ``shutdown``; return an exit
     code.
 
     ``cache_dir`` overrides the welcome's advertised cache directory —
     needed when the shared filesystem mounts at a different path on
-    this host.  ``max_idle_seconds`` makes a standing worker give up
-    when the coordinator has had no work for that long (``None`` waits
-    forever).
+    this host.
     """
     try:
         conn = Connection.connect(host, port, timeout=connect_timeout)
@@ -165,9 +163,7 @@ def run_worker(
         )
 
         resident: dict[Any, Any] = {}
-        idle_since: float | None = None
         while True:
-            conn.send({"kind": "lease_request"})
             reply = conn.recv()
             if reply is None or not isinstance(reply, dict):
                 log.warning("coordinator hung up")
@@ -175,20 +171,8 @@ def run_worker(
             kind = reply.get("kind")
             if kind == "shutdown":
                 break
-            if kind == "idle":
-                now = time.monotonic()
-                idle_since = idle_since if idle_since is not None else now
-                if (
-                    max_idle_seconds is not None
-                    and now - idle_since >= max_idle_seconds
-                ):
-                    log.info("idle for %.1fs; leaving", now - idle_since)
-                    break
-                time.sleep(float(reply.get("retry_after", 0.05)))
-                continue
             if kind != "lease":
                 continue
-            idle_since = None
             index = reply["index"]
             fingerprint = str(reply["fingerprint"])
             cache_fingerprint = reply.get("cache_fingerprint") or fingerprint
@@ -208,10 +192,6 @@ def run_worker(
                     {"kind": "failed", "index": index, "seconds": 0.0,
                      **_failure_report(exc)}
                 )
-            ack = conn.recv()
-            if ack is None:
-                log.warning("coordinator hung up before acking")
-                return 1
         try:
             conn.send({"kind": "goodbye"})
         except OSError:

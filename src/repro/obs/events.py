@@ -66,8 +66,8 @@ __all__ = [
 #: Version of the event wire/report schema (``docs/metrics_schema.md``).
 #: Major bump on incompatible change, minor on additive; a collector
 #: drops messages from a different major (counted in ``dropped``).
-#: 1.1: shm_* lifecycle events, affinity_assigned, fleet ``shm``
-#: section and per-worker ``resident_graphs``.
+#: 1.1: shm_* lifecycle events, the fleet's lane-assignment event,
+#: fleet ``shm`` section and per-worker ``resident_graphs``.
 #: 1.2: serve_* events from the query layer (:mod:`repro.serve`) —
 #: per-request, per-batch, cache-hit, and graph-update telemetry.
 #: 1.3: cluster lifecycle events (:mod:`repro.cluster`) — worker
@@ -79,7 +79,9 @@ __all__ = [
 #: 3.0: removed the ``checkpoint_resumed`` event and the fleet
 #: ``cells.resumed`` counter with sweep checkpoints (an interrupted run
 #: resumes through the measurement cache, as ``cache_hit`` events).
-EVENTS_SCHEMA_VERSION = "3.0"
+#: 4.0: removed the lane-assignment event and the ``lane`` field of
+#: ``worker_joined`` with the fleet's graph-affinity lanes.
+EVENTS_SCHEMA_VERSION = "4.0"
 
 #: Every recognised event kind.
 EVENT_KINDS = (
@@ -93,7 +95,6 @@ EVENT_KINDS = (
     "worker_spawned",      # worker: a worker process came up
     "worker_replaced",     # parent: a dead or wedged worker was replaced
     "resource_sample",     # worker: periodic RSS / CPU-time sample
-    "affinity_assigned",   # coordinator: cells grouped into worker lanes
     "serve_request",       # server: one PPR query accepted (hit or miss)
     "serve_batch",         # server: one coalesced batch solved (occupancy)
     "serve_cache_hit",     # server: a query answered from the result cache

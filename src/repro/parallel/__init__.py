@@ -18,8 +18,6 @@ additional threads contend for the same cache capacity"
 """
 
 from repro.parallel.scheduling import (
-    affinity_lanes,
-    cell_affinity,
     edge_balanced_ranges,
     greedy_assign,
     range_edge_counts,
@@ -63,8 +61,6 @@ __all__ = [
     "RetryPolicy",
     "SweepOptions",
     "SweepStats",
-    "affinity_lanes",
-    "cell_affinity",
     "edge_balanced_ranges",
     "greedy_assign",
     "range_edge_counts",

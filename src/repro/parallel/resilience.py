@@ -356,13 +356,11 @@ class _CellRun:
     """Mutable scheduling state of one cell across its attempts.
 
     ``cache_fingerprint`` is the content fingerprint the result is
-    cached under (``None``: the sweep fingerprint itself); ``lane`` is
-    the fleet's affinity lane.
+    cached under (``None``: the sweep fingerprint itself).
     """
 
     __slots__ = (
-        "index", "cell", "fingerprint", "cache_fingerprint", "attempt",
-        "not_before", "lane",
+        "index", "cell", "fingerprint", "cache_fingerprint", "attempt", "not_before",
     )
 
     def __init__(
@@ -374,7 +372,6 @@ class _CellRun:
         self.cache_fingerprint = cache_fingerprint
         self.attempt = 0
         self.not_before = 0.0  # monotonic() before which a retry must not start
-        self.lane = 0
 
 
 def cell_runs(

@@ -10,23 +10,11 @@ Two schedulers mirror the paper's choices:
 * :func:`greedy_assign` — the *dynamic* schedule for the accumulate phase,
   modelled offline as greedy longest-processing-time assignment of
   per-range costs to threads (what a dynamic work queue converges to).
-
-The same blocking insight applies to the worker fleet: sweep cells
-that share a graph should lease to the same worker so the graph crosses
-the wire as few times as possible.  :func:`cell_affinity` extracts a
-``(graph key, edge cost)`` hint per sweep cell and
-:func:`affinity_lanes` assigns whole affinity groups to worker lanes
-with the very same :func:`greedy_assign` balancer (cost = estimated
-edges × cells), which the cluster coordinator turns into lease order
-(:mod:`repro.cluster.coordinator`).  :func:`graph_key` is the one
-definition of "the same graph" that lease routing and graph shipping
-(:mod:`repro.cluster.shipping`) share.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Hashable, Sequence
 
 import numpy as np
 
@@ -38,9 +26,6 @@ __all__ = [
     "range_edge_counts",
     "greedy_assign",
     "imbalance",
-    "graph_key",
-    "cell_affinity",
-    "affinity_lanes",
 ]
 
 
@@ -119,75 +104,3 @@ def imbalance(costs: np.ndarray, num_threads: int, *, dynamic: bool = True) -> f
             loads[i % num_threads] += cost
         makespan = float(loads.max())
     return makespan / ideal
-
-
-# ----------------------------------------------------------------------
-# sweep-cell graph affinity (the fleet-side blocking schedule)
-# ----------------------------------------------------------------------
-def graph_key(graph: CSRGraph) -> Hashable:
-    """Affinity key of a graph argument: the parent-side object identity.
-
-    By identity, not content digest: hashing a multi-MB graph per cell
-    would cost more than the locality buys, and plan-compiled sweeps
-    pass the same object for equal content anyway.
-    """
-    return ("mem", id(graph))
-
-
-def _graph_hint(value: Any) -> tuple[Hashable, float] | None:
-    """``(affinity key, edge cost)`` if ``value`` is a graph argument."""
-    if isinstance(value, CSRGraph):
-        return graph_key(value), float(value.num_edges)
-    return None
-
-
-def cell_affinity(cells: Sequence[Any]) -> list[tuple[Hashable, float]]:
-    """Affinity hint ``(group key, cost)`` for every sweep cell.
-
-    Cells are grouped by the first graph argument they carry
-    (:func:`graph_key`) with the graph's edge count as the cost
-    estimate.  A cell with no graph argument — e.g. the scaling cells,
-    which generate their own graph — forms a singleton group of unit
-    cost, so it still load-balances but never constrains placement.
-    """
-    hints: list[tuple[Hashable, float]] = []
-    for index, cell in enumerate(cells):
-        hint = None
-        for value in (*cell.args, *cell.kwargs.values()):
-            hint = _graph_hint(value)
-            if hint is not None:
-                break
-        if hint is None:
-            hints.append((("cell", index), 1.0))
-        else:
-            key, edges = hint
-            hints.append((key, max(edges, 1.0)))
-    return hints
-
-
-def affinity_lanes(
-    hints: Sequence[tuple[Hashable, float]], num_workers: int
-) -> list[list[int]]:
-    """Assign affinity groups to ``num_workers`` lanes, cost-balanced.
-
-    ``hints`` is one ``(group key, cost)`` pair per cell (see
-    :func:`cell_affinity`).  Whole groups are assigned to lanes via
-    :func:`greedy_assign` on total group cost (cost per cell × cells in
-    the group), so cells sharing a key always co-locate and lane loads
-    stay within the greedy 4/3 bound.  Returns exactly ``num_workers``
-    lists of cell indices (possibly empty), each in submission order.
-    """
-    check_positive("num_workers", num_workers)
-    groups: dict[Hashable, list[int]] = {}
-    for index, (key, _) in enumerate(hints):
-        groups.setdefault(key, []).append(index)
-    keys = list(groups)
-    costs = np.array(
-        [sum(hints[index][1] for index in groups[key]) for key in keys],
-        dtype=np.float64,
-    )
-    assignment, _ = greedy_assign(costs, num_workers)
-    return [
-        sorted(index for g in lane for index in groups[keys[g]])
-        for lane in assignment
-    ]

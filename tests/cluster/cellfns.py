@@ -22,6 +22,20 @@ def slow_square(x):
     return x * x
 
 
+def nap(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def square_when(path, x):
+    """``x * x`` once ``path`` exists (or 30 s on): holds a run's cells
+    until the test has seen every worker it expects join."""
+    deadline = time.monotonic() + 30.0
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return x * x
+
+
 def graph_edges(graph, width):
     """A cell with a graph argument, for shipping-dedup tests."""
     return int(graph.num_edges) + int(width)

@@ -45,7 +45,6 @@ def test_sigkilled_worker_loses_no_cells(tmp_path):
             cells,
             cache=cache,
             stats=stats,
-            expected_workers=2,
             lease_seconds=5.0,
         )
         host, port = coordinator.start()

@@ -3,7 +3,7 @@
 Workers here are in-process — either the real :func:`run_worker` loop on
 a thread (cells are cheap, so thread workers are exact and fast) or a
 hand-rolled protocol client for the paths a well-behaved worker never
-takes (going silent, dropping mid-lease, double-completing).
+takes (going silent, dropping mid-lease, reporting a lease it lost).
 """
 
 from __future__ import annotations
@@ -57,13 +57,11 @@ class _Client:
         assert self.welcome["kind"] == "welcome"
 
     def lease(self):
-        while True:
-            self.conn.send({"kind": "lease_request"})
-            reply = self.conn.recv()
-            if reply["kind"] == "lease":
-                return reply
-            assert reply["kind"] == "idle"
-            time.sleep(reply.get("retry_after", 0.02))
+        """The next frame, which must be a lease: the first follows the
+        welcome, each later one answers a report."""
+        reply = self.conn.recv()
+        assert reply["kind"] == "lease", reply
+        return reply
 
     def close(self):
         self.conn.close()
@@ -78,7 +76,7 @@ def _coordinator(tmp_path, cells, **kwargs):
 def test_threaded_worker_completes_everything(tmp_path):
     bus = EventBus()
     with collecting(bus):
-        coordinator, _ = _coordinator(tmp_path, _cells(), expected_workers=2)
+        coordinator, _ = _coordinator(tmp_path, _cells())
         host, port = coordinator.start()
         thread = _worker_thread(host, port)
         assert coordinator.wait(timeout=30.0)
@@ -204,24 +202,37 @@ def test_vanished_worker_requeues_without_charging(tmp_path):
 
 
 def test_duplicate_complete_is_acked_and_ignored(tmp_path):
+    """A stale complete — for a lease that expired — counts nothing and is
+    answered, like any report, by the next lease or shutdown."""
     stats = SweepStats()
-    coordinator, cache = _coordinator(tmp_path, _cells(1), stats=stats)
+    coordinator, cache = _coordinator(
+        tmp_path,
+        _cells(1),
+        lease_seconds=0.5,
+        policy=RetryPolicy(max_retries=1, backoff_base=0.01),
+        stats=stats,
+    )
     host, port = coordinator.start()
     client = _Client(host, port)
-    lease = client.lease()
+    lease = client.lease()  # then no heartbeat: the lease expires
+    deadline = time.monotonic() + 10.0
+    while stats.timeouts == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert stats.timeouts == 1
     cache.put(lease["fingerprint"], 0, 0.01)
     client.conn.send(
         {"kind": "complete", "index": lease["index"], "seconds": 0.01}
     )
-    first = client.conn.recv()
-    assert first["kind"] == "ack" and not first["duplicate"]
+    again = client.lease()  # the stale report is answered by the re-lease
+    assert again["index"] == lease["index"] and again["attempt"] == 1
+    assert stats.completed == 0 and not coordinator.done()
     client.conn.send(
-        {"kind": "complete", "index": lease["index"], "seconds": 0.01}
+        {"kind": "complete", "index": again["index"], "seconds": 0.01}
     )
-    second = client.conn.recv()
-    assert second["kind"] == "ack" and second["duplicate"]
+    assert client.conn.recv()["kind"] == "shutdown"
     assert stats.completed == 1
     assert coordinator.done()
+    assert coordinator.result() == {0: 0}
     client.close()
     coordinator.close()
 
@@ -265,36 +276,13 @@ def test_protocol_mismatch_is_rejected(tmp_path):
 
 
 def test_drain_pending_returns_submission_order(tmp_path):
-    coordinator, _ = _coordinator(tmp_path, _cells(5), expected_workers=3)
+    """With no worker, the serial fallback runs every queued cell and the
+    results fold in submission order."""
+    coordinator, _ = _coordinator(tmp_path, _cells(5))
     coordinator.start()
-    drained = coordinator.drain_pending()
-    assert [cell.key for cell in drained] == [0, 1, 2, 3, 4]
+    assert coordinator.run_pending_serially() == 5
     assert coordinator.done()
-    assert coordinator.result() == {}
-    coordinator.absorb({cell.key: cell.key**2 for cell in drained})
-    assert coordinator.result() == {i: i * i for i in range(5)}
-    coordinator.close()
-
-
-def test_locality_lanes_keep_graph_cells_together(tmp_path):
-    """Cells sharing a graph land in one lane (ship once, stay resident)."""
-    from repro.graphs import build_csr, uniform_random_graph
-
-    from tests.cluster.cellfns import graph_edges
-
-    graph_a = build_csr(uniform_random_graph(128, 4, seed=1))
-    graph_b = build_csr(uniform_random_graph(128, 4, seed=2))
-    cells = []
-    for index, graph in enumerate([graph_a, graph_b] * 4):
-        cells.append(
-            SweepCell(key=index, fn=graph_edges, args=(graph, index))
-        )
-    coordinator, _ = _coordinator(tmp_path, cells, expected_workers=2)
-    lanes = [
-        {task.cell.args[0] is graph_a for task in lane}
-        for lane in coordinator._lanes
-        if lane
-    ]
-    # Each populated lane holds cells of exactly one graph.
-    assert all(len(markers) == 1 for markers in lanes)
+    result = coordinator.result()
+    assert list(result) == [0, 1, 2, 3, 4]
+    assert result == {i: i * i for i in range(5)}
     coordinator.close()

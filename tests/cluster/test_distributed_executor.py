@@ -1,9 +1,15 @@
-"""End-to-end pooled-run tests: real local worker processes leased by
-the coordinator, shared-cache data plane, and degradation to serial."""
+"""End-to-end pooled-run tests: real local and external worker processes
+leased by the coordinator, shared-cache data plane, and degradation to
+serial."""
 
 from __future__ import annotations
 
+import os
+import socket
+import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -24,9 +30,13 @@ from tests.cluster.cellfns import (
     boom,
     die_in_worker,
     graph_edges,
+    nap,
     raise_unpicklable,
     square,
+    square_when,
 )
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, os.pardir))
 
 
 def _cells(n=12):
@@ -135,3 +145,93 @@ def test_cell_exceptions_cross_back_with_the_worker_traceback():
     assert isinstance(cause, RemoteCellError)
     assert str(cause) == "Unpicklable: cell 7 cannot cross"
     assert "raise_unpicklable" in cause.traceback_text
+
+
+def test_replaced_wedged_worker_is_reported_once():
+    """A worker terminated for overrunning a cell deadline is reported by
+    ``worker_replaced`` alone, never also as ``worker_lost``."""
+    cells = [
+        SweepCell(key="quick", fn=square, args=(2,)),
+        SweepCell(key="stuck", fn=nap, args=(60.0,)),
+    ]
+    bus = EventBus()
+    started = time.monotonic()
+    with collecting(bus), pytest.raises(CellFailedError):
+        run_cells(
+            cells, workers=2, policy=RetryPolicy(max_retries=1, cell_timeout=0.3)
+        )
+    assert time.monotonic() - started < 30.0
+    summary = bus.fleet_summary()
+    assert summary["workers"]["replaced"] == 2
+    assert summary["cluster"]["workers_lost"] == 0
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def test_external_worker_joins_a_bound_pooled_run(tmp_path):
+    """``repro-pb worker --connect`` joins a ``bind``-fixed pooled run,
+    leases cells like the local workers, and exits 0 on ``shutdown``."""
+    gate = str(tmp_path / "open")
+    cells = [SweepCell(key=i, fn=square_when, args=(gate, i)) for i in range(24)]
+    port = _free_port()
+    bus = EventBus()
+    outcome: dict = {}
+
+    def pooled() -> None:
+        try:
+            outcome["result"] = run_cells(
+                cells, workers=2, label="external",
+                bind=("127.0.0.1", port),
+                cache=MeasurementCache(str(tmp_path / "cache")),
+            )
+        except Exception as exc:  # noqa: BLE001 — asserted on below
+            outcome["error"] = exc
+
+    def joined() -> int:
+        return sum(event.kind == "worker_joined" for event in bus.events())
+
+    worker = None
+    with collecting(bus):
+        run = threading.Thread(target=pooled, daemon=True)
+        run.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while True:  # the port accepts once the coordinator listens
+                try:
+                    socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+                    break
+                except OSError:
+                    assert time.monotonic() < deadline, "coordinator never listened"
+                    time.sleep(0.02)
+            worker = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "worker",
+                 "--connect", f"127.0.0.1:{port}", "--name", "external"],
+                cwd=ROOT,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                    [os.path.join(ROOT, "src"), ROOT])),
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            # The cells wait at the gate until all three workers joined.
+            deadline = time.monotonic() + 30.0
+            while joined() < 3 and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            open(gate, "w").close()
+            run.join(timeout=60.0)
+            if worker is not None:
+                try:
+                    worker_exit = worker.wait(timeout=30.0)
+                finally:
+                    if worker.poll() is None:
+                        worker.kill()
+                        worker.wait()
+    assert not run.is_alive()
+    assert "error" not in outcome, outcome.get("error")
+    assert outcome["result"] == run_cells(cells, workers=1)
+    assert bus.fleet_summary()["cluster"]["workers_joined"] == 3
+    assert worker_exit == 0
