@@ -3,15 +3,16 @@ engine speed bench.
 
 DESIGN.md's substitution argument rests on the LLC model: this bench
 re-measures baseline vs DPB on urand under the replacement models
-(fully-associative LRU — both the per-access oracle and the vectorized
-stack-distance engine — 16-way set-associative LRU, direct-mapped) and
-shows the communication-reduction conclusion is insensitive to the choice.
+(fully-associative LRU — both the per-access ``flru`` oracle and the
+default engine — 16-way set-associative LRU, direct-mapped) and shows the
+communication-reduction conclusion is insensitive to the choice.
 
-``test_engine_speed`` times the exact engines head to head on a
-gather-heavy irregular workload (the regime the vectorized engine exists
-for: uniform gathers over an address space far larger than the LLC) and
-emits ``BENCH_engine_speed.json`` with accesses/sec per engine.  Set
-``REPRO_ENGINE_BENCH_ACCESSES`` to shrink the workload on slow machines.
+``test_engine_speed`` times the default exact engine (the compiled loop
+when a backend resolves) against the ``flru`` oracle on a gather-heavy
+irregular workload (uniform gathers over an address space far larger than
+the LLC) and emits ``BENCH_engine_speed.json`` with accesses/sec per
+engine.  Set ``REPRO_ENGINE_BENCH_ACCESSES`` to shrink the workload on
+slow machines.
 """
 
 import os
@@ -21,7 +22,9 @@ import numpy as np
 import pytest
 
 from repro.kernels import make_kernel
+from repro.compiled import backend_name
 from repro.memsim import (
+    DEFAULT_ENGINE,
     CacheConfig,
     SetAssociativeLRU,
     Stream,
@@ -52,7 +55,7 @@ def measure(graph, method, engine_name):
 
 
 @pytest.mark.parametrize(
-    "engine_name", ["flru", "stackdist", "set16", "plru16", "dmap"]
+    "engine_name", ["flru", DEFAULT_ENGINE, "set16", "plru16", "dmap"]
 )
 def test_ablation_engine(benchmark, urand_graph, report, engine_name):
     def run_pair():
@@ -75,13 +78,14 @@ def test_ablation_engine(benchmark, urand_graph, report, engine_name):
 
 
 def test_engine_speed(report):
-    """Exact engines head to head on a gather-heavy workload.
+    """The default exact engine against the ``flru`` oracle.
 
     Uniform gathers over 2^22 lines against a 256-line cache: nearly every
     access misses and the oracle's dict churns far beyond any hardware
-    cache, which is exactly where per-access Python costs the most and the
-    vectorized engine's batched sort pays off.  Counters must stay
-    bit-identical while wall-clock drops >= 10x.
+    cache, which is exactly where per-access Python costs the most.
+    Counters must stay bit-identical while wall-clock drops >= 10x, which
+    needs the compiled rung (the default engine is ``flru`` itself
+    without a backend).
     """
     num_accesses = int(os.environ.get("REPRO_ENGINE_BENCH_ACCESSES", str(1 << 24)))
     space_lines = 1 << 22
@@ -91,19 +95,19 @@ def test_engine_speed(report):
     lines = rng.integers(0, space_lines, size=num_accesses)
 
     timings: dict[str, float] = {}
-    counter_dicts: dict[str, dict] = {}
-    for name in ("flru", "stackdist", "dmap"):
+    counters: dict[str, object] = {}
+    for name in ("flru", DEFAULT_ENGINE, "dmap"):
         trace = [irregular_chunk(lines, stream=Stream.VERTEX_CONTRIB)]
         engine = make_engine(name, config)
         start = perf_counter()
-        counters = simulate(trace, engine)
+        counters[name] = simulate(trace, engine)
         timings[name] = perf_counter() - start
-        counter_dicts[name] = counters.as_dict()
 
-    # Zero counter drift between the oracle and the vectorized exact engine
+    # Zero counter drift between the oracle and the default exact engine
     # (dmap is approximate and exempt).
-    assert counter_dicts["stackdist"] == counter_dicts["flru"]
-    speedup = timings["flru"] / timings["stackdist"]
+    assert counters[DEFAULT_ENGINE] == counters["flru"]
+    speedup = timings["flru"] / timings[DEFAULT_ENGINE]
+    backend = backend_name()
 
     rows = [
         [name, round(seconds, 3), round(num_accesses / seconds / 1e6, 1)]
@@ -116,7 +120,7 @@ def test_engine_speed(report):
             rows,
             title=f"Exact-engine speed, {num_accesses} gather accesses "
             f"(space {space_lines} lines, cache {capacity_lines} lines); "
-            f"stackdist speedup over flru: {speedup:.1f}x",
+            f"{DEFAULT_ENGINE} ({backend}) speedup over flru: {speedup:.1f}x",
         ),
     )
     emit_bench(
@@ -126,14 +130,15 @@ def test_engine_speed(report):
                 f"{name}/accesses_per_sec": num_accesses / seconds
                 for name, seconds in timings.items()
             },
-            "stackdist/speedup_over_flru": speedup,
+            f"{DEFAULT_ENGINE}/speedup_over_flru": speedup,
         },
         meta={
             "source": "bench_ablation_engine",
             "accesses": num_accesses,
             "space_lines": space_lines,
             "capacity_lines": capacity_lines,
-            "units": "accesses per second; speedup is flru_s / stackdist_s",
+            "backend": backend,
+            "units": f"accesses per second; speedup is flru_s / {DEFAULT_ENGINE}_s",
         },
     )
     assert speedup >= 10.0

@@ -622,15 +622,14 @@ def _resolve_tier(method: str, tier: str) -> str:
 
 
 def _warmup_if_compiled(args: argparse.Namespace) -> None:
-    """Front-load backend compilation when the compiled tier is in play.
+    """Front-load backend compilation when the compiled kernel tier is in play.
 
     Called inside the ``recording()`` scope so the
     ``compiled_warmup[<backend>]`` span lands in the report's wall spans
-    instead of inflating the first measured iteration.
+    instead of inflating the first measured iteration.  (The default
+    cache engine builds the backend in the same span on first use.)
     """
-    if getattr(args, "kernel_tier", "numpy") == "compiled" or (
-        getattr(args, "engine", None) == "compiled"
-    ):
+    if getattr(args, "kernel_tier", "numpy") == "compiled":
         from repro.compiled import warmup
 
         warmup()

@@ -8,7 +8,9 @@ Exactly one backend is active per process, chosen at first use:
 2. ``cc`` — :data:`_C_SOURCE` compiled with the system C compiler into a
    temp-dir shared library (content-addressed by source hash, so repeat
    processes reload instead of recompiling) and bound through ctypes;
-3. ``None`` — no backend; callers fall back to the pure-NumPy oracles.
+3. ``None`` — no backend, or its build failed (for example on an unusable
+   ``REPRO_COMPILED_CACHE_DIR``, with one warning); callers fall back to
+   the pure-NumPy oracles.
 
 ``REPRO_COMPILED_BACKEND`` overrides the ladder: ``numba``/``cc`` force
 one rung (``None`` if unavailable), ``none`` disables the tier (used by
@@ -366,38 +368,57 @@ def _build_cc() -> _CcBackend | None:
     suffix = "dll" if sys.platform == "win32" else "so"
     lib_path = os.path.join(cache_dir, f"repro_compiled_{digest}.{suffix}")
     if not os.path.exists(lib_path):
-        os.makedirs(cache_dir, exist_ok=True)
-        src_path = os.path.join(cache_dir, f"repro_compiled_{digest}.c")
-        with open(src_path, "w") as handle:
-            handle.write(_C_SOURCE)
-        tmp_path = f"{lib_path}.{os.getpid()}.tmp"
-        for flags in (["-O3", "-march=native"], ["-O2"]):
-            cmd = [compiler, *flags, "-shared", "-fPIC", "-o", tmp_path, src_path]
-            try:
-                result = subprocess.run(
-                    cmd, capture_output=True, text=True, timeout=120
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                log.debug("compiled tier: %s failed: %s", compiler, exc)
+        try:
+            if not _compile_cc(compiler, cache_dir, digest, lib_path):
                 return None
-            if result.returncode == 0:
-                break
-            log.debug(
-                "compiled tier: %s failed (%s): %s",
-                " ".join(cmd),
-                result.returncode,
-                result.stderr.strip(),
+        except OSError as exc:
+            log.warning(
+                "compiled tier: cannot build in %s (%s); running the NumPy "
+                "oracles instead",
+                cache_dir,
+                exc,
             )
-        else:
             return None
-        # Atomic publish so concurrent processes never load a half-written
-        # library; losing the race is fine, the content is identical.
-        os.replace(tmp_path, lib_path)
     try:
         return _CcBackend(ctypes.CDLL(lib_path))
     except OSError as exc:
         log.debug("compiled tier: loading %s failed: %s", lib_path, exc)
         return None
+
+
+def _compile_cc(compiler: str, cache_dir: str, digest: str, lib_path: str) -> bool:
+    """Compile :data:`_C_SOURCE` into ``lib_path``; False if the compiler fails.
+
+    Source and library are written under per-process names and published
+    with ``os.replace``, so processes building at the same time (a pooled
+    run's workers on an empty cache directory) never see a half-written
+    file; losing the race is fine, the content is identical.
+    """
+    os.makedirs(cache_dir, exist_ok=True)
+    src_path = os.path.join(cache_dir, f"repro_compiled_{digest}.c")
+    tmp_src = os.path.join(cache_dir, f"repro_compiled_{digest}.{os.getpid()}.c")
+    tmp_lib = f"{lib_path}.{os.getpid()}.tmp"
+    with open(tmp_src, "w") as handle:
+        handle.write(_C_SOURCE)
+    for flags in (["-O3", "-march=native"], ["-O2"]):
+        cmd = [compiler, *flags, "-shared", "-fPIC", "-o", tmp_lib, tmp_src]
+        try:
+            result = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            log.debug("compiled tier: %s failed: %s", compiler, exc)
+            break
+        if result.returncode == 0:
+            os.replace(tmp_src, src_path)
+            os.replace(tmp_lib, lib_path)
+            return True
+        log.debug(
+            "compiled tier: %s failed (%s): %s",
+            " ".join(cmd),
+            result.returncode,
+            result.stderr.strip(),
+        )
+    os.remove(tmp_src)
+    return False
 
 
 def _build_numba() -> _NumbaBackend | None:

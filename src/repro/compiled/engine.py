@@ -1,4 +1,4 @@
-"""Compiled cache engine: the ``"compiled"`` entry in ``ENGINES``.
+"""Compiled cache engine: what the default ``stackdist`` engine runs.
 
 :class:`CompiledLRU` replays irregular trace chunks through an exact
 fully-associative LRU implemented in the compiled backend (open-addressing
@@ -7,17 +7,16 @@ SEQUENTIAL chunks keep the shared analytic handling of
 :class:`~repro.memsim.cache._EngineBase`.
 
 Accuracy contract: **bit-identical ``MemCounters``** to the
-:class:`~repro.memsim.cache.FullyAssociativeLRU` oracle (and therefore to
-``stackdist``) — same write-back + write-allocate semantics, same
-consecutive-access collapse credit, same ``flush`` accounting (dirty
-write-backs recorded as ``Stream.OTHER`` with phase ``"flush"``).  The
-differential suite in ``tests/compiled/test_engine_differential.py``
-asserts exact counter equality on randomized and kernel-generated traces.
+:class:`~repro.memsim.cache.FullyAssociativeLRU` oracle — same write-back
++ write-allocate semantics, same consecutive-access collapse credit, same
+``flush`` accounting (dirty write-backs recorded as ``Stream.OTHER`` with
+phase ``"flush"``).  The differential suite in
+``tests/compiled/test_engine_differential.py`` asserts exact counter
+equality on randomized and kernel-generated traces.
 
-Availability: requires a compiled backend (Numba or a C compiler).
-:func:`make_compiled_engine` — the registry factory — falls back to
-:class:`~repro.memsim.stackdist.StackDistanceLRU` with a one-time warning
-when none is available: still exact, just the oracle-tier speed.
+Availability: requires a compiled backend (Numba or a C compiler).  The
+``stackdist`` factory in :data:`repro.memsim.ENGINES` builds this engine
+when a backend resolves and the oracle otherwise.
 """
 
 from __future__ import annotations
@@ -28,13 +27,8 @@ from repro.compiled.backend import get_backend
 from repro.memsim.cache import CacheConfig, _EngineBase
 from repro.memsim.counters import MemCounters
 from repro.memsim.trace import Stream, TraceChunk, collapse_consecutive
-from repro.obs.log import get_logger
 
-__all__ = ["CompiledLRU", "make_compiled_engine"]
-
-log = get_logger(__name__)
-
-_warned_fallback = False
+__all__ = ["CompiledLRU"]
 
 
 class _LRUState:
@@ -66,9 +60,8 @@ class CompiledLRU(_EngineBase):
     """Exact fully-associative LRU with a compiled per-access loop.
 
     Bit-identical counters to :class:`FullyAssociativeLRU`; construction
-    raises ``RuntimeError`` when no compiled backend exists — use
-    :func:`make_compiled_engine` (what ``ENGINES["compiled"]`` calls) for
-    the graceful-fallback behaviour.
+    raises ``RuntimeError`` when no compiled backend exists —
+    ``make_engine("stackdist", config)`` falls back to the oracle instead.
     """
 
     def __init__(self, config: CacheConfig) -> None:
@@ -80,7 +73,7 @@ class CompiledLRU(_EngineBase):
         backend = get_backend()
         if backend is None:
             raise RuntimeError(
-                "no compiled backend available; use make_compiled_engine() "
+                "no compiled backend available; use make_engine('stackdist') "
                 "for graceful fallback"
             )
         self.config = config
@@ -113,25 +106,3 @@ class CompiledLRU(_EngineBase):
     def occupancy(self) -> int:
         """Number of resident lines (test hook)."""
         return int(self._state.hdr[0])
-
-
-def make_compiled_engine(config: CacheConfig) -> _EngineBase:
-    """Factory behind ``ENGINES["compiled"]``.
-
-    Returns :class:`CompiledLRU` when a backend is available, else falls
-    back to :class:`~repro.memsim.stackdist.StackDistanceLRU` (exact, so
-    results are unchanged — only speed) with a one-time warning.
-    """
-    global _warned_fallback
-    if get_backend() is None:
-        if not _warned_fallback:
-            _warned_fallback = True
-            log.warning(
-                "engine 'compiled': no compiled backend available; "
-                "falling back to the exact stackdist engine "
-                "(identical counters, oracle speed)"
-            )
-        from repro.memsim.stackdist import StackDistanceLRU
-
-        return StackDistanceLRU(config)
-    return CompiledLRU(config)

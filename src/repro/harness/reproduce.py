@@ -297,7 +297,7 @@ def plan_specs(
         if "fig10" in wanted:
             specs.append(figure10_spec(sweep_graphs, BIN_WIDTHS, engine=engine))
     if "fig11" in wanted:
-        urand = load_graph("urand", seed=seed, scale=scale)
+        urand = graphs.get("urand") or load_graph("urand", seed=seed, scale=scale)
         specs.append(figure11_spec(urand, BIN_WIDTHS, engine=engine))
     return specs
 

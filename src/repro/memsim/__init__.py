@@ -30,7 +30,6 @@ from repro.memsim.cache import (
 )
 from repro.memsim.fastcache import DirectMappedVectorized
 from repro.memsim.plru import TreePLRUCache
-from repro.memsim.stackdist import StackDistanceLRU
 from repro.memsim.traceio import save_trace, load_trace
 from repro.memsim.hierarchy import DEFAULT_L1, L1Model, TwoLevel
 from repro.memsim.reuse import (
@@ -55,7 +54,6 @@ __all__ = [
     "CacheConfig",
     "FullyAssociativeLRU",
     "SetAssociativeLRU",
-    "StackDistanceLRU",
     "simulate",
     "DirectMappedVectorized",
     "TreePLRUCache",
@@ -81,36 +79,38 @@ def _make_plru(config: CacheConfig):
     return TreePLRUCache(config)
 
 
-def _make_compiled(config: CacheConfig):
-    """Lazy factory for the compiled exact-LRU engine (repro.compiled).
+def _make_stackdist(config: CacheConfig):
+    """The default exact LRU: the compiled loop, or the oracle without one.
 
-    Exact: bit-identical counters to ``flru``/``stackdist``.  Availability:
-    Numba or a C compiler; otherwise it returns a ``stackdist`` engine with
-    a one-time warning (identical counters, oracle speed).
+    Returns :class:`repro.compiled.engine.CompiledLRU` when a compiled
+    backend (Numba or a C compiler) resolves, else
+    :class:`FullyAssociativeLRU`.  Both give bit-identical counters, so
+    only the speed depends on the platform.
     """
-    from repro.compiled.engine import make_compiled_engine
+    from repro.compiled import CompiledLRU, available
 
-    return make_compiled_engine(config)
+    if available():
+        return CompiledLRU(config)
+    return FullyAssociativeLRU(config)
 
 
 #: Engine registry: name -> factory taking a :class:`CacheConfig`.
-#: ``stackdist`` and ``flru`` are *exact* fully-associative LRU models with
-#: bit-identical counters (``flru`` is the per-access oracle loop kept for
-#: differential testing); ``compiled`` is the compiled tier of the same
-#: exact model (bit-identical counters; needs Numba or a C compiler, else
-#: it degrades to ``stackdist``); ``set``/``plru`` model reduced
-#: associativity; ``dmap`` is approximate and banned from reported numbers.
+#: ``stackdist`` and ``flru`` are the *exact* fully-associative LRU model
+#: with bit-identical counters: ``flru`` is the per-access oracle loop,
+#: and ``stackdist`` runs the same model through the compiled backend when
+#: one resolves (else it is ``flru``).  The name ``stackdist`` is kept
+#: because every pinned cell fingerprint contains it.  ``set``/``plru``
+#: model reduced associativity; ``dmap`` is approximate and banned from
+#: reported numbers.
 ENGINES: dict[str, object] = {
-    "stackdist": StackDistanceLRU,
+    "stackdist": _make_stackdist,
     "flru": FullyAssociativeLRU,
-    "compiled": _make_compiled,
     "set": SetAssociativeLRU,
     "plru": _make_plru,
     "dmap": DirectMappedVectorized,
 }
 
-#: Engine used for reported numbers when none is requested explicitly: the
-#: vectorized exact LRU, validated bit-identical to ``flru`` in CI.
+#: Engine used for reported numbers when none is requested explicitly.
 DEFAULT_ENGINE = "stackdist"
 
 

@@ -9,20 +9,25 @@ semantics for the propagation-blocking bins (Section VII).
 
 Two exact engines are provided:
 
-* :class:`FullyAssociativeLRU` — the default.  An LLC with high
-  associativity (the paper's is 20-way) behaves very close to fully
-  associative for these workloads; full associativity also matches the
-  analytic model's cache abstraction.
+* :class:`FullyAssociativeLRU` — the oracle of the model behind every
+  reported number.  An LLC with high associativity (the paper's is
+  20-way) behaves very close to fully associative for these workloads;
+  full associativity also matches the analytic model's cache abstraction.
+  The default engine (``stackdist`` in :data:`repro.memsim.ENGINES`) runs
+  this model through :class:`repro.compiled.engine.CompiledLRU` when a
+  compiled backend resolves, and through this class otherwise.
 * :class:`SetAssociativeLRU` — reference engine with explicit sets/ways,
   used to validate the fully-associative proxy and for associativity
   ablations.
 
 Both engines treat SEQUENTIAL chunks analytically (compulsory transfers
 only, no cache installation — see :mod:`repro.memsim.trace` for why) and
-simulate IRREGULAR chunks access by access.
+simulate IRREGULAR chunks access by access, so the counters are complete
+after every chunk.
 
 A faster vectorized engine with a direct-mapped policy lives in
-:mod:`repro.memsim.fastcache`.
+:mod:`repro.memsim.fastcache`; it buffers irregular accesses until its
+flush.
 """
 
 from __future__ import annotations
@@ -142,14 +147,6 @@ class _EngineBase:
 
     def flush(self, counters: MemCounters) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def sync(self, counters: MemCounters) -> None:
-        """Materialize any buffered counters without flushing the cache.
-
-        Loop engines resolve every access eagerly, so the base
-        implementation is a no-op; batching engines (e.g.
-        :class:`repro.memsim.stackdist.StackDistanceLRU`) override it.
-        """
 
 
 class FullyAssociativeLRU(_EngineBase):
@@ -311,8 +308,7 @@ def simulate(
 
     ``flush=True`` writes back dirty lines at the end, charging the final
     write-backs the hardware would eventually perform; ``flush=False``
-    keeps the cache warm but still syncs batching engines so the returned
-    counters are complete.
+    keeps the cache warm for a following trace.
 
     ``coalesce=True`` merges adjacent same-semantics chunks first
     (:func:`repro.memsim.trace.coalesce_chunks`) — counters are provably
@@ -339,8 +335,6 @@ def simulate(
             _simulate_instrumented(trace, engine, counters, tracer, registry)
         if flush:
             engine.flush(counters)
-        else:
-            engine.sync(counters)
     return counters
 
 
@@ -366,7 +360,6 @@ def _simulate_instrumented(trace, engine, counters, tracer, registry) -> None:
                     sample.extend(chunk.lines[:room].tolist())
             engine.process_chunk(chunk, counters)
             if tracer is not None:
-                engine.sync(counters)
                 stream = chunk.stream
                 tracer.counter(
                     f"dram[{stream.value}]",

@@ -57,12 +57,28 @@ def verbosity_to_level(verbosity: int) -> int:
     return logging.DEBUG
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to ``sys.stderr`` as it is when a record is emitted.
+
+    Binding the stream at configure time would keep writing to a stream
+    that has since been replaced and closed (a test's captured stderr).
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def configure(verbosity: int = 0, *, stream=None) -> logging.Logger:
     """Attach one stderr handler to the ``repro`` logger at ``verbosity``.
 
-    Idempotent: reconfiguring replaces the handler installed by a prior
-    call instead of stacking duplicates.  Returns the configured root
-    repro logger.
+    Without ``stream`` the handler writes to whatever ``sys.stderr`` is
+    at emit time.  Idempotent: reconfiguring replaces the handler
+    installed by a prior call instead of stacking duplicates.  Returns the
+    configured root repro logger.
     """
     logger = logging.getLogger(LOGGER_NAME)
     logger.setLevel(verbosity_to_level(verbosity))
@@ -70,7 +86,7 @@ def configure(verbosity: int = 0, *, stream=None) -> logging.Logger:
     for handler in list(logger.handlers):
         if getattr(handler, "_repro_obs_handler", False):
             logger.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = logging.StreamHandler(stream) if stream is not None else _StderrHandler()
     handler.setFormatter(logging.Formatter(_FORMAT))
     handler._repro_obs_handler = True
     logger.addHandler(handler)

@@ -1,20 +1,23 @@
 """Differential tests: CompiledLRU vs the per-access FullyAssociativeLRU.
 
 Same contract and structure as ``tests/memsim/test_stackdist.py``:
-bit-identical ``MemCounters`` per stream and phase, including flush
-write-backs, on randomized traces and on real kernel traces.  The
-randomized sweeps deliberately churn tiny capacities against large
-address spaces so the compiled engine's hash table cycles through its
-tombstone-rebuild path.
+bit-identical ``MemCounters`` in every field (per stream and phase, hits,
+irregular counts), including flush write-backs, on randomized traces and
+on real kernel traces.  The randomized sweeps deliberately churn tiny
+capacities against large address spaces so the compiled engine's hash
+table cycles through its tombstone-rebuild path.  The last tests pin the
+``stackdist`` factory's two rungs: ``CompiledLRU`` with a backend, the
+oracle without one.
 """
 
 import numpy as np
 import pytest
 
+from repro.compiled.backend import _compiler
 from repro.kernels.pagerank import make_kernel
 from repro.memsim import (
+    DEFAULT_ENGINE,
     CacheConfig,
-    ENGINES,
     FullyAssociativeLRU,
     Stream,
     irregular_chunk,
@@ -40,7 +43,7 @@ def assert_identical(trace, capacity_lines: int, *, flush: bool = True):
     cfg = config_for(capacity_lines)
     expected = simulate(trace, FullyAssociativeLRU(cfg), flush=flush)
     actual = simulate(trace, CompiledLRU(cfg), flush=flush)
-    assert actual.as_dict() == expected.as_dict()
+    assert actual == expected
     return actual
 
 
@@ -100,7 +103,7 @@ def test_kernel_traces_match_oracle(random_graph, method):
 
     expected = simulate(kernel.trace(2), FullyAssociativeLRU(cfg))
     actual = simulate(kernel.trace(2), CompiledLRU(cfg))
-    assert actual.as_dict() == expected.as_dict()
+    assert actual == expected
 
 
 def test_flush_empties_and_engine_is_reusable():
@@ -112,7 +115,7 @@ def test_flush_empties_and_engine_is_reusable():
     first = simulate(trace, engine)
     assert engine.occupancy == 0  # flushed
     second = simulate(trace, engine, counters=MemCounters())
-    assert second.as_dict() == first.as_dict()
+    assert second == first
 
 
 def test_occupancy_tracks_residency():
@@ -126,11 +129,10 @@ def test_occupancy_tracks_residency():
 
 
 def test_registry_and_factory():
-    assert "compiled" in ENGINES
-    engine = make_engine("compiled", config_for(16))
-    # With a backend available the factory returns the compiled engine.
     from repro.compiled.engine import CompiledLRU
 
+    # With a backend available the default engine is the compiled one.
+    engine = make_engine(DEFAULT_ENGINE, config_for(16))
     assert isinstance(engine, CompiledLRU)
 
 
@@ -141,24 +143,42 @@ def test_rejects_set_associative_config():
         CompiledLRU(CacheConfig(capacity_bytes=64 * 16, line_bytes=64, ways=4))
 
 
+def assert_default_engine_is_the_oracle():
+    """The default engine is ``flru`` and counts exactly like it."""
+    engine = make_engine(DEFAULT_ENGINE, config_for(16))
+    assert type(engine) is FullyAssociativeLRU
+    trace = [
+        irregular_chunk(
+            np.array([1, 2, 1, 3, 9, 1]), write=True, stream=Stream.VERTEX_SUMS
+        )
+    ]
+    expected = simulate(trace, FullyAssociativeLRU(config_for(4)))
+    actual = simulate(trace, make_engine(DEFAULT_ENGINE, config_for(4)))
+    assert actual == expected
+
+
 def test_factory_falls_back_without_backend(monkeypatch):
     from repro.compiled import backend as backend_module
-    from repro.compiled.engine import make_compiled_engine
-    from repro.memsim.stackdist import StackDistanceLRU
 
     monkeypatch.setenv(backend_module.BACKEND_ENV, "none")
     backend_module._reset_backend_for_tests()
     try:
-        engine = make_compiled_engine(config_for(16))
-        assert isinstance(engine, StackDistanceLRU)
-        # Still exact: counters match the oracle through the fallback.
-        trace = [
-            irregular_chunk(
-                np.array([1, 2, 1, 3, 9, 1]), write=True, stream=Stream.VERTEX_SUMS
-            )
-        ]
-        expected = simulate(trace, FullyAssociativeLRU(config_for(4)))
-        actual = simulate(trace, make_compiled_engine(config_for(4)))
-        assert actual.as_dict() == expected.as_dict()
+        assert_default_engine_is_the_oracle()
+    finally:
+        backend_module._reset_backend_for_tests()
+
+
+@pytest.mark.skipif(_compiler() is None, reason="no C compiler on PATH")
+def test_unusable_cache_dir_falls_back_to_oracle(monkeypatch, tmp_path):
+    from repro.compiled import backend as backend_module
+
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("")
+    monkeypatch.setenv(backend_module.BACKEND_ENV, "cc")
+    monkeypatch.setenv("REPRO_COMPILED_CACHE_DIR", str(blocker / "cache"))
+    backend_module._reset_backend_for_tests()
+    try:
+        assert backend_module.get_backend() is None
+        assert_default_engine_is_the_oracle()
     finally:
         backend_module._reset_backend_for_tests()

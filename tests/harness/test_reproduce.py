@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.harness.reproduce import ARTIFACTS, build_parser, main
+from repro.harness.reproduce import ARTIFACTS, build_parser, main, plan_specs
 
 
 def test_parser_defaults():
@@ -55,6 +55,27 @@ def test_fig7_quick(tmp_path, capsys):
 def test_artifact_registry_complete():
     assert len(ARTIFACTS) == 12
     assert set(ARTIFACTS) >= {"table1", "table3", "fig3", "fig11"}
+
+
+def test_full_plan_builds_urand_once(monkeypatch):
+    import repro.graphs.suite
+    import repro.harness.reproduce
+
+    builds = []
+
+    def counting(load_graph):
+        def wrapper(name, **kwargs):
+            builds.append((name, kwargs["seed"], kwargs["scale"]))
+            return load_graph(name, **kwargs)
+
+        return wrapper
+
+    for module in (repro.graphs.suite, repro.harness.reproduce):
+        monkeypatch.setattr(module, "load_graph", counting(module.load_graph))
+    plan_specs(set(ARTIFACTS), scale=0.02, seed=42)
+    assert builds.count(("urand", 42, 0.02)) == 1
+    # Every (graph, seed, scale) is built once.
+    assert len(builds) == len(set(builds))
 
 
 def test_warm_cache_run_executes_zero_cells(tmp_path):

@@ -13,14 +13,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.memsim import (
+    DEFAULT_ENGINE,
     CacheConfig,
     DirectMappedVectorized,
     FullyAssociativeLRU,
     MemCounters,
     SetAssociativeLRU,
-    StackDistanceLRU,
     Stream,
     irregular_chunk,
+    make_engine,
     misses_for_capacity,
     reuse_distance_histogram,
     simulate,
@@ -190,16 +191,14 @@ def test_hits_plus_misses_equals_accesses(lines):
 
 
 # ----------------------------------------------------------------------
-# stateful differential: StackDistanceLRU vs the per-access oracle with
-# sync() interleaved at arbitrary points
+# stateful differential: the default engine vs the per-access oracle,
+# compared at arbitrary points
 # ----------------------------------------------------------------------
 # A "program" interleaves gather chunks (reads of VERTEX_CONTRIB — the
 # bin-reading side of propagation blocking), scatter chunks (writes of
-# VERTEX_SUMS — the accumulate side) and sync points.  The batching
-# engine buffers chunks and resolves them lazily; sync() must
-# materialize counts *without* perturbing cache state, so the counters
-# must equal the eager oracle's at every sync point and after the final
-# flush, wherever the syncs land.
+# VERTEX_SUMS — the accumulate side) and "sync" points.  Every exact
+# engine resolves accesses eagerly, so at each sync point, and after the
+# final flush, every counter field must equal the oracle's.
 _chunk_op = st.tuples(
     st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=60),
     st.booleans(),  # True -> scatter (write sums), False -> gather (read contribs)
@@ -211,13 +210,11 @@ _program = st.lists(st.one_of(st.just("sync"), _chunk_op), max_size=30)
 @settings(max_examples=150, deadline=None)
 def test_stackdist_matches_oracle_with_interleaved_sync(program, capacity):
     cfg = CacheConfig(64 * capacity, 64)
-    oracle, batching = FullyAssociativeLRU(cfg), StackDistanceLRU(cfg)
-    c_oracle, c_batching = MemCounters(), MemCounters()
+    oracle, default = FullyAssociativeLRU(cfg), make_engine(DEFAULT_ENGINE, cfg)
+    c_oracle, c_default = MemCounters(), MemCounters()
     for op in program:
         if op == "sync":
-            oracle.sync(c_oracle)
-            batching.sync(c_batching)
-            assert c_batching.as_dict() == c_oracle.as_dict()
+            assert c_default == c_oracle
         else:
             lines, is_scatter = op
             chunk = irregular_chunk(
@@ -227,37 +224,7 @@ def test_stackdist_matches_oracle_with_interleaved_sync(program, capacity):
                 phase="accumulate" if is_scatter else "binning",
             )
             oracle.process_chunk(chunk, c_oracle)
-            batching.process_chunk(chunk, c_batching)
+            default.process_chunk(chunk, c_default)
     oracle.flush(c_oracle)
-    batching.flush(c_batching)
-    assert c_batching.as_dict() == c_oracle.as_dict()
-
-
-@given(program=_program, capacity=capacity_strategy)
-@settings(max_examples=50, deadline=None)
-def test_stackdist_sync_points_do_not_change_final_counts(program, capacity):
-    """Dropping every sync from a program must not change the totals."""
-    chunks = [op for op in program if op != "sync"]
-
-    def run(ops):
-        engine = StackDistanceLRU(CacheConfig(64 * capacity, 64))
-        counters = MemCounters()
-        for op in ops:
-            if op == "sync":
-                engine.sync(counters)
-            else:
-                lines, is_scatter = op
-                engine.process_chunk(
-                    irregular_chunk(
-                        np.asarray(lines, dtype=np.int64),
-                        write=is_scatter,
-                        stream=Stream.VERTEX_SUMS
-                        if is_scatter
-                        else Stream.VERTEX_CONTRIB,
-                    ),
-                    counters,
-                )
-        engine.flush(counters)
-        return counters.as_dict()
-
-    assert run(program) == run(chunks)
+    default.flush(c_default)
+    assert c_default == c_oracle

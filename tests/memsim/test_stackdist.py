@@ -1,16 +1,15 @@
-"""Differential tests: StackDistanceLRU vs the per-access oracle.
+"""Differential tests: the default engine vs the per-access oracle.
 
-The vectorized engine's whole contract is *bit-identical* ``MemCounters``
-to :class:`FullyAssociativeLRU` — per stream, per phase, including flush
-write-backs.  Every test here builds a trace, replays it through both
-engines and compares ``as_dict()`` exactly.  ``misses_for_capacity`` from
-:mod:`repro.memsim.reuse` serves as a third, independently-derived oracle
-for read-only single-stream traces.
-
-The engine is adaptive (fits-in-cache analytic path, dense-block
-vectorized path, sequential-replay fallback for mid-range windows), so the
-randomized sweeps deliberately span capacities and address-space sizes
-that hit all three regimes, and dedicated tests pin each regime.
+The default engine (``stackdist``, :data:`repro.memsim.DEFAULT_ENGINE`)
+is the compiled exact LRU when a compiled backend resolves and the
+``flru`` loop otherwise.  Either way its contract is *bit-identical*
+``MemCounters`` to :class:`FullyAssociativeLRU`: every field — per-stream
+reads, writes, hits and accesses, per-phase reads and writes, the
+irregular counts — including flush write-backs.  Every test here builds a
+trace, replays it through both engines and compares the counters
+exactly.  ``misses_for_capacity`` from :mod:`repro.memsim.reuse` serves
+as a third, independently-derived oracle for read-only single-stream
+traces.  CI also runs this file with ``REPRO_COMPILED_BACKEND=none``.
 """
 
 import numpy as np
@@ -19,19 +18,19 @@ import pytest
 from repro.graphs import load_graph
 from repro.kernels.pagerank import make_kernel
 from repro.memsim import (
+    DEFAULT_ENGINE,
     CacheConfig,
     FullyAssociativeLRU,
     MemCounters,
-    StackDistanceLRU,
     Stream,
     coalesce_chunks,
     irregular_chunk,
+    make_engine,
     misses_for_capacity,
     reuse_distance_histogram,
     sequential_chunk,
     simulate,
 )
-from repro.memsim.stackdist import _DEFAULT_BATCH
 
 
 def config_for(lines: int) -> CacheConfig:
@@ -40,15 +39,15 @@ def config_for(lines: int) -> CacheConfig:
 
 def both_engines(lines: int):
     cfg = config_for(lines)
-    return FullyAssociativeLRU(cfg), StackDistanceLRU(cfg)
+    return FullyAssociativeLRU(cfg), make_engine(DEFAULT_ENGINE, cfg)
 
 
 def assert_identical(trace, capacity_lines: int, *, flush: bool = True):
-    """Replay ``trace`` through both engines and compare counters exactly."""
-    oracle, vectorized = both_engines(capacity_lines)
+    """Replay ``trace`` through both engines and compare every counter."""
+    oracle, default = both_engines(capacity_lines)
     expected = simulate(trace, oracle, flush=flush)
-    actual = simulate(trace, vectorized, flush=flush)
-    assert actual.as_dict() == expected.as_dict()
+    actual = simulate(trace, default, flush=flush)
+    assert actual == expected
     return actual
 
 
@@ -83,8 +82,8 @@ def test_randomized_traces_match_oracle(seed):
 
 @pytest.mark.parametrize("capacity", [1, 4, 16, 128, 512, 1024])
 def test_thrash_and_fits_regimes(capacity):
-    # space >> capacity exercises the dense-block vectorized path (and for
-    # capacity > 512 the replay fallback); space <= capacity the fits path.
+    # space <= capacity: every line stays resident (compulsory misses
+    # only); space >> capacity: nearly every access evicts.
     rng = np.random.default_rng(capacity)
     for space in (max(2, capacity // 2), capacity * 8 + 1):
         lines = rng.integers(0, space, size=5000)
@@ -122,56 +121,25 @@ def test_flush_writebacks_match():
     assert with_flush.total_writes > without.total_writes
 
 
-def test_incremental_drains_match_single_drain():
-    # Force many drains by setting a tiny batch: counters must be identical
-    # to the default single-drain run (seeded-resident replay is exact).
-    rng = np.random.default_rng(11)
-    trace = [
-        irregular_chunk(rng.integers(0, 500, 997), write=bool(w % 2),
-                        stream=Stream.VERTEX_CONTRIB)
-        for w in range(4)
-    ]
-    cfg = config_for(64)
-    small = StackDistanceLRU(cfg, batch_accesses=37)
-    big = StackDistanceLRU(cfg)
-    assert simulate(trace, small).as_dict() == simulate(trace, big).as_dict()
-
-
-def test_chunks_larger_than_batch_are_split():
-    rng = np.random.default_rng(12)
-    lines = rng.integers(0, 1 << 14, size=_DEFAULT_BATCH // 256 + 13)
-    trace = [irregular_chunk(lines, stream=Stream.VERTEX_CONTRIB)]
-    cfg = config_for(256)
-    split = StackDistanceLRU(cfg, batch_accesses=1024)
-    whole = FullyAssociativeLRU(cfg)
-    assert simulate(trace, split).as_dict() == simulate(trace, whole).as_dict()
-
-
-def test_sync_mid_trace_preserves_state():
-    # simulate(flush=False) syncs pending batches without flushing; a
-    # second trace must continue from the same cache state as the oracle.
+def test_unflushed_simulate_preserves_state():
+    # simulate(flush=False) keeps the cache warm: a second trace must
+    # continue from the same cache state as the oracle's.
     rng = np.random.default_rng(13)
     first = [irregular_chunk(rng.integers(0, 200, 500), write=True,
                              stream=Stream.VERTEX_SUMS)]
     second = [irregular_chunk(rng.integers(0, 200, 500),
                               stream=Stream.VERTEX_CONTRIB)]
-    oracle, vectorized = both_engines(32)
+    oracle, default = both_engines(32)
     c1 = MemCounters()
     c2 = MemCounters()
     for trace in (first, second):
         simulate(trace, oracle, flush=False, counters=c1)
-        simulate(trace, vectorized, flush=False, counters=c2)
+        simulate(trace, default, flush=False, counters=c2)
+        assert c2 == c1
+        assert default.occupancy == oracle.occupancy == 32
     oracle.flush(c1)
-    vectorized.flush(c2)
-    assert c2.as_dict() == c1.as_dict()
-
-
-def test_occupancy_after_sync():
-    oracle, vectorized = both_engines(8)
-    trace = [irregular_chunk([0, 1, 2, 3, 4], stream=Stream.VERTEX_CONTRIB)]
-    simulate(trace, oracle, flush=False)
-    simulate(trace, vectorized, flush=False)
-    assert vectorized.occupancy == oracle.occupancy == 5
+    default.flush(c2)
+    assert c2 == c1
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +153,8 @@ def test_reuse_histogram_is_third_oracle(capacity):
     expected_misses = misses_for_capacity(histogram, capacity)
 
     trace = [irregular_chunk(lines, stream=Stream.VERTEX_CONTRIB)]
-    for engine_cls in (FullyAssociativeLRU, StackDistanceLRU):
-        counters = simulate(trace, engine_cls(config_for(capacity)))
+    for engine in both_engines(capacity):
+        counters = simulate(trace, engine)
         assert counters.total_reads == expected_misses
 
 
@@ -198,16 +166,16 @@ def test_kernel_traces_match_oracle(method):
     graph = load_graph("urand", scale=0.02, seed=5)
     kernel = make_kernel(graph, method)
     expected = kernel.measure(1, engine="flru")
-    actual = kernel.measure(1, engine="stackdist")
-    assert actual.as_dict() == expected.as_dict()
+    actual = kernel.measure(1, engine=DEFAULT_ENGINE)
+    assert actual == expected
 
 
 def test_kernel_trace_two_iterations_match():
     graph = load_graph("web", scale=0.02, seed=5)
     kernel = make_kernel(graph, "dpb")
     expected = kernel.measure(2, engine="flru")
-    actual = kernel.measure(2, engine="stackdist")
-    assert actual.as_dict() == expected.as_dict()
+    actual = kernel.measure(2, engine=DEFAULT_ENGINE)
+    assert actual == expected
 
 
 # ----------------------------------------------------------------------
@@ -221,10 +189,10 @@ def test_coalescing_preserves_counters():
     ]
     merged = coalesce_chunks(trace)
     assert len(merged) == 1
-    for engine_cls in (FullyAssociativeLRU, StackDistanceLRU):
-        a = simulate(trace, engine_cls(config_for(16)))
-        b = simulate(merged, engine_cls(config_for(16)))
-        assert a.as_dict() == b.as_dict()
+    for engine_a, engine_b in zip(both_engines(16), both_engines(16)):
+        a = simulate(trace, engine_a, coalesce=False)
+        b = simulate(merged, engine_b, coalesce=False)
+        assert a == b
 
 
 def test_coalescing_respects_boundaries():
@@ -239,16 +207,24 @@ def test_coalescing_respects_boundaries():
 
 
 def test_registry_and_default():
-    from repro.memsim import DEFAULT_ENGINE, ENGINES, make_engine
+    from repro.compiled import available
+    from repro.compiled.engine import CompiledLRU
+    from repro.memsim import ENGINES
 
     assert DEFAULT_ENGINE == "stackdist"
-    assert set(ENGINES) == {"stackdist", "flru", "set", "plru", "dmap", "compiled"}
-    engine = make_engine("stackdist", config_for(16))
-    assert isinstance(engine, StackDistanceLRU)
+    assert set(ENGINES) == {"stackdist", "flru", "set", "plru", "dmap"}
+    engine = make_engine(DEFAULT_ENGINE, config_for(16))
+    expected_type = CompiledLRU if available() else FullyAssociativeLRU
+    assert type(engine) is expected_type
     with pytest.raises(ValueError, match="unknown engine"):
         make_engine("nope", config_for(16))
+    with pytest.raises(ValueError, match="unknown engine"):
+        make_engine("compiled", config_for(16))
 
 
 def test_rejects_set_associative_config():
     with pytest.raises(ValueError, match="ways=None"):
-        StackDistanceLRU(CacheConfig(capacity_bytes=64 * 16, line_bytes=64, ways=4))
+        make_engine(
+            DEFAULT_ENGINE,
+            CacheConfig(capacity_bytes=64 * 16, line_bytes=64, ways=4),
+        )
